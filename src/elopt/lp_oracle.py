@@ -5,7 +5,8 @@ the surface's intercept box (steps ``h_x = X/m``, ``h_y = Y/m``, anisotropic
 when the box is not square) plus the objective scalar ``t``, and rows
 
 (i)    pointedness        ``f(0,0) = 0``;
-(ii)   monotonicity       ``f(g + e_d) >= f(g)``;
+(ii)   corner monotonicity
+                          ``f(m,m) >= f(m-1,m)`` and ``f(m,m) >= f(m,m-1)``;
 (iii)  lattice submodularity
                           ``f(g+e_x) + f(g+e_y) >= f(g) + f(g+e_x+e_y)``;
 (iv)   per-axis concavity ``f(g+e_d) - f(g) >= f(g+2 e_d) - f(g+e_d)``;
@@ -18,7 +19,10 @@ when the box is not square) plus the objective scalar ``t``, and rows
 Soundness (why the optimal LP value is a lower bound on the cost of every
 surface-feasible entropy-like function): restrict such an ``f`` to the grid.
 Rows (i)-(iv) hold because pointedness, monotonicity, submodularity and
-per-axis concavity restrict verbatim to lattice points.  For row (v), f is
+per-axis concavity restrict verbatim to lattice points.  The two corner rows
+imply monotonicity at every node: writing ``d_x(i,j) = f(i+1,j) - f(i,j)``,
+concavity gives ``d_x(i,j) >= d_x(m-1,j)`` and submodularity gives
+``d_x(m-1,j) >= d_x(m-1,m) >= 0``; likewise along y.  For row (v), f is
 concave along the grid line, so the backward chord slope over the cell left
 of the crossing is at least the left derivative at ``c`` and the forward
 chord slope over the cell right of it is at most the right derivative at
@@ -36,11 +40,12 @@ feasible (the restriction of any feasible function is a witness; with no
 crossing rows the zero function already satisfies everything) and bounded
 below by 0, so a deterministic solve returns a finite optimum.
 
-The solve is delegated to the deterministic dual-simplex of HiGHS via
-``scipy.optimize.linprog`` (anti-cycling built in).  ``m`` is capped at 96
-(about 9.4k variables) to keep desk-scale runtimes.  One instance solves
-single-threaded; independent instances (an ``m`` sweep) are safe to run in
-parallel since all inputs are immutable.
+The solve is delegated to the interior-point method of HiGHS via
+``scipy.optimize.linprog``, followed by crossover to an optimal vertex with
+basic duals; both phases are deterministic and single-threaded.  ``m`` is
+capped at 96 (about 9.4k variables) to keep desk-scale runtimes.
+Independent instances (an ``m`` sweep) are safe to run in parallel since all
+inputs are immutable.  scipy is imported on first build or solve only.
 """
 
 from __future__ import annotations
@@ -48,15 +53,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import DomainError, SolverError
 from .exprs import ELExpr, eval_at
 from .surfaces import Curve2D, Hyperplane, Surface
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "GridLP",
@@ -93,7 +99,7 @@ class LPSolution:
     t: float
     grid: np.ndarray            # (m+1, m+1); grid[i, j] = f(i h_x, j h_y)
     status: str
-    iterations: int
+    iterations: int             # interior-point plus crossover iterations
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,8 @@ def _crossing_fns(surface: Surface):
 
 def build_lp(surface: Surface, m: int) -> GridLP:
     """Assemble the grid LP for a validated 2-D surface."""
+    import scipy.sparse as sp
+
     if m < 4:
         raise ValueError(f"need m >= 4, got {m}")
     if m > M_CAP:
@@ -168,19 +176,9 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         kinds.extend(labels)
         counter += k
 
-    # (ii) monotonicity along x then y
-    I, J = np.meshgrid(np.arange(m), np.arange(n_grid), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    add_block(
-        [vid(I + 1, J), vid(I, J)], [1.0, -1.0], np.zeros(I.size),
-        [f"mono_x[{i},{j}]" for i, j in zip(I, J)],
-    )
-    I, J = np.meshgrid(np.arange(n_grid), np.arange(m), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    add_block(
-        [vid(I, J + 1), vid(I, J)], [1.0, -1.0], np.zeros(I.size),
-        [f"mono_y[{i},{j}]" for i, j in zip(I, J)],
-    )
+    # (ii) corner monotonicity; the other monotonicity rows are implied
+    add_block([[vid(m, m)], [vid(m - 1, m)]], [1.0, -1.0], [0.0], [f"mono_x[{m - 1},{m}]"])
+    add_block([[vid(m, m)], [vid(m, m - 1)]], [1.0, -1.0], [0.0], [f"mono_y[{m},{m - 1}]"])
 
     # (iii) lattice submodularity on every cell
     I, J = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
@@ -215,15 +213,8 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         k = int(math.floor((c + _CROSS_TIE) / h_x))
         if 1 <= k <= m - 2:
             add_block(
-                [
-                    np.array([vid(k, j)]),
-                    np.array([vid(k - 1, j)]),
-                    np.array([vid(k + 1, j)]),
-                    np.array([vid(k + 2, j)]),
-                ],
-                [1.0, -1.0, 1.0, -1.0],
-                np.array([h_x]),
-                [f"cross_x[j={j},k={k}]"],
+                [[vid(k, j)], [vid(k - 1, j)], [vid(k + 1, j)], [vid(k + 2, j)]],
+                [1.0, -1.0, 1.0, -1.0], [h_x], [f"cross_x[j={j},k={k}]"],
             )
             crossings += 1
     for i in range(n_grid):
@@ -233,15 +224,8 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         k = int(math.floor((c + _CROSS_TIE) / h_y))
         if 1 <= k <= m - 2:
             add_block(
-                [
-                    np.array([vid(i, k)]),
-                    np.array([vid(i, k - 1)]),
-                    np.array([vid(i, k + 1)]),
-                    np.array([vid(i, k + 2)]),
-                ],
-                [1.0, -1.0, 1.0, -1.0],
-                np.array([h_y]),
-                [f"cross_y[i={i},k={k}]"],
+                [[vid(i, k)], [vid(i, k - 1)], [vid(i, k + 1)], [vid(i, k + 2)]],
+                [1.0, -1.0, 1.0, -1.0], [h_y], [f"cross_y[i={i},k={k}]"],
             )
             crossings += 1
     if crossings == 0:
@@ -282,6 +266,9 @@ def solve_lp(lp: GridLP) -> LPSolution:
     everything but crossings, feasible restrictions satisfy those too, and
     the objective is bounded below by 0.)
     """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     n_grid = lp.m + 1
     objective = np.zeros(lp.n_vars)
     objective[-1] = 1.0
@@ -295,8 +282,9 @@ def solve_lp(lp: GridLP) -> LPSolution:
         A_eq=a_eq,
         b_eq=np.array([0.0]),
         bounds=(0.0, None),
-        method="highs",
+        method="highs-ipm",
     )
+    iterations = int(res.nit + res.crossover_nit)
     if res.status in (1, 4):
         raise SolverError(f"LP solve failed: {res.message}")
     if res.status != 0:
@@ -306,7 +294,7 @@ def solve_lp(lp: GridLP) -> LPSolution:
             t=math.nan,
             grid=np.full((n_grid, n_grid), math.nan),
             status=status,
-            iterations=int(getattr(res, "nit", 0)),
+            iterations=iterations,
         )
     x = np.asarray(res.x)
     return LPSolution(
@@ -314,7 +302,7 @@ def solve_lp(lp: GridLP) -> LPSolution:
         t=float(x[-1]),
         grid=x[:-1].reshape(n_grid, n_grid),
         status="optimal",
-        iterations=int(getattr(res, "nit", 0)),
+        iterations=iterations,
     )
 
 

@@ -1,9 +1,14 @@
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import elopt
 from elopt import (
     DomainError,
     Hyperplane,
@@ -17,6 +22,7 @@ from elopt import (
     restriction_check,
     solve_lp,
 )
+from elopt.lp_oracle import ROW_TOL
 from helpers import simplex_min_geq
 
 
@@ -28,8 +34,8 @@ def h11():
 def test_row_census_m4(h11):
     lp = build_lp(h11, 4)
     kinds = lp.kinds
-    assert sum(k.startswith("mono_x") for k in kinds) == 4 * 5
-    assert sum(k.startswith("mono_y") for k in kinds) == 4 * 5
+    # monotonicity is implied everywhere but at the far corner
+    assert [k for k in kinds if k.startswith("mono_")] == ["mono_x[3,4]", "mono_y[4,3]"]
     assert sum(k.startswith("submod") for k in kinds) == 16
     assert sum(k.startswith("conc_x") for k in kinds) == 3 * 5
     assert sum(k.startswith("conc_y") for k in kinds) == 3 * 5
@@ -107,6 +113,48 @@ def test_reference_simplex_agrees_with_the_production_solver(h11, h12, qc):
         reference = simplex_min_geq(objective, dense, rhs)
         production = solve_lp(lp).value
         assert production == pytest.approx(reference, abs=1e-7)
+
+
+def _with_all_monotonicity_rows(lp):
+    """The LP plus every row f(g + e_d) >= f(g), the rows build_lp leaves implied."""
+    import scipy.sparse as sp
+
+    n_grid = lp.m + 1
+    ids = np.arange(n_grid * n_grid).reshape(n_grid, n_grid)
+    up = np.concatenate([ids[1:, :].ravel(), ids[:, 1:].ravel()])
+    low = np.concatenate([ids[:-1, :].ravel(), ids[:, :-1].ravel()])
+    k = up.size
+    mono = sp.csr_matrix(
+        (np.repeat([1.0, -1.0], k), (np.tile(np.arange(k), 2), np.concatenate([up, low]))),
+        shape=(k, lp.n_vars),
+    )
+    return dataclasses.replace(
+        lp,
+        geq=sp.vstack([lp.geq, mono]).tocsr(),
+        geq_rhs=np.concatenate([lp.geq_rhs, np.zeros(k)]),
+        kinds=lp.kinds + ("mono_all",) * k,
+    )
+
+
+def test_dropped_monotonicity_rows_are_implied(h12, qc):
+    for surface in (h12, qc, QuadraticCurve(a=1.0, b=1.0, c2=-0.375)):
+        for m in (8, 16):
+            lp = build_lp(surface, m)
+            pruned = solve_lp(lp)
+            full = solve_lp(_with_all_monotonicity_rows(lp))
+            assert full.value == pytest.approx(pruned.value, abs=1e-6)
+            assert np.all(np.diff(pruned.grid, axis=0) >= -ROW_TOL)
+            assert np.all(np.diff(pruned.grid, axis=1) >= -ROW_TOL)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(elopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, elopt, elopt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_restriction_of_constructions_satisfies_every_row(qc, qcc, h12):

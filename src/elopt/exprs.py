@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "one_sided_partials",
     "cost",
     "cost_total",
-    "finite_difference_partials",
 ]
 
 # Branch-boundary classification tolerance (absolute, on coordinates).
@@ -141,6 +140,10 @@ class ELExpr:
     def _partials(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def _sup(self) -> float:
+        """Supremum of the range; ``inf`` when unbounded."""
+        raise NotImplementedError
+
     def __call__(self, x):
         return eval_at(self, x)
 
@@ -174,6 +177,9 @@ class Linear(ELExpr):
         grad = np.tile(self._c, (X.shape[0], 1))
         return grad, grad.copy()
 
+    def _sup(self):
+        return math.inf
+
 
 @dataclass(frozen=True)
 class Sum(ELExpr):
@@ -197,6 +203,9 @@ class Sum(ELExpr):
         l1, r1 = self.left._partials(X)
         l2, r2 = self.right._partials(X)
         return l1 + l2, r1 + r2
+
+    def _sup(self):
+        return self.left._sup() + self.right._sup()
 
 
 @dataclass(frozen=True)
@@ -222,6 +231,9 @@ class Scale(ELExpr):
     def _partials(self, X):
         li, ri = self.inner._partials(X)
         return self.factor * li, self.factor * ri
+
+    def _sup(self):
+        return 0.0 if self.factor == 0.0 else self.factor * self.inner._sup()
 
 
 @dataclass(frozen=True)
@@ -256,6 +268,9 @@ class TruncateMin(ELExpr):
         left = np.where(above, 0.0, li)
         right = np.where(below, ri, 0.0)
         return left, right
+
+    def _sup(self):
+        return min(self.cap, self.inner._sup())
 
 
 @dataclass(frozen=True)
@@ -296,24 +311,68 @@ class Clamp(ELExpr):
         right = np.where(below, ri, 0.0)
         return left, right
 
+    def _sup(self):
+        # Monotone inner, so the supremum over min(x, at) sits at the clamp.
+        return eval_at(self.inner, self._at)
+
+
+def _neg_alpha_prime(f, x):
+    return -f._alpha_prime_cl(x)
+
+
+def _neg_beta_prime(f, y):
+    return -f._beta_prime_cl(y)
+
+
+def _x_plus_y(f, x, y):
+    return x + y
+
+
+def _group_pieces(table):
+    """Masked passes for a ``piece -> (value, d/dx, d/dy)`` table, one list per column.
+
+    Each pass is ``(pieces, formula)``: pieces sharing a formula are evaluated
+    together and zero entries are skipped.  A formula is a constant or a
+    function of the node and the selected points' coordinates: ``(node, x, y)``
+    for values, ``(node, x)`` for d/dx and ``(node, y)`` for d/dy (every piece
+    is a sum of one-variable terms).
+    """
+    columns = []
+    for column in range(3):
+        passes: dict = {}
+        for code, row in table.items():
+            if row[column] != 0.0:
+                passes.setdefault(row[column], []).append(code)
+        columns.append([(codes, formula) for formula, codes in passes.items()])
+    return columns
+
 
 class _CurveConstruction(ELExpr):
-    """Shared plumbing of the three piecewise two-dimensional nodes."""
+    """Shared plumbing of the three piecewise two-dimensional nodes.
+
+    A node classifies points into pieces (``_classify``) and lists each
+    piece's value and partials in ``_PASSES`` (see :func:`_group_pieces`);
+    pieces missing from the table sit on the plateau, with zero partials.
+    """
 
     curve: Curve2D
 
     _required_shape = ""
 
-    def _check_shape(self) -> None:
+    def __post_init__(self) -> None:
         if self.curve.shape != self._required_shape:
             raise ShapeError(
                 f"{type(self).__name__} requires a {self._required_shape} curve, "
                 f"got shape {self.curve.shape!r}"
             )
+        _ = self._layout  # resolve the seam / fallback branch eagerly
 
     @property
     def dim(self) -> int:
         return 2
+
+    def _sup(self) -> float:
+        return self._layout.plateau
 
     # Values of the curve and of its derivatives, with the argument clamped
     # into the curve's parameter range (the classifier only selects pieces
@@ -330,28 +389,43 @@ class _CurveConstruction(ELExpr):
     def _beta_prime_cl(self, y):
         return self.curve.beta_prime(np.minimum(y, self.curve.b))
 
+    def _strip_classify(self, u, v, su, sv, inverse: bool) -> np.ndarray:
+        """Whether ``u`` lies on or above the clamped curve at ``v``, ties towards the queried side.
+
+        ``inverse`` compares ``u = x`` with ``beta(v)``, otherwise ``u = y`` is
+        compared with ``alpha(v)``.  Beyond the intercept the clamped curve is
+        constant, so a tie there cannot be resolved by moving ``v``.
+        """
+        end, curve_cl = (self.curve.b, self._beta_cl) if inverse else (self.curve.a, self._alpha_cl)
+        cv = _cmp(v, end, sv)
+        level = np.where(cv >= 0, 0.0, curve_cl(v))
+        return _cmp(u, level, su if su != 0 else np.where(cv < 0, sv, 0)) >= 0
+
     def _classify(self, x, y, sx: int, sy: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _piece_values(self, piece, x, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def _piece_dx(self, piece, x, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def _piece_dy(self, piece, x, y) -> np.ndarray:
-        raise NotImplementedError
+    def _eval(self, column: int, piece, x, y) -> np.ndarray:
+        """Column 0 (value), 1 (d/dx) or 2 (d/dy) of the piece table at classified points."""
+        out = np.full(x.shape, self._layout.plateau if column == 0 else 0.0)
+        coords = ((x, y), (x,), (y,))[column]
+        for codes, formula in self._PASSES[column]:
+            m = piece == codes[0]
+            for code in codes[1:]:
+                m |= piece == code
+            if np.any(m):
+                out[m] = formula(self, *(c[m] for c in coords)) if callable(formula) else formula
+        return out
 
     def _values(self, X):
         x, y = X[:, 0], X[:, 1]
-        return self._piece_values(self._classify(x, y, 0, 0), x, y)
+        return self._eval(0, self._classify(x, y, 0, 0), x, y)
 
     def _partials(self, X):
         x, y = X[:, 0], X[:, 1]
-        left_x = self._piece_dx(self._classify(x, y, -1, 0), x, y)
-        right_x = self._piece_dx(self._classify(x, y, +1, 0), x, y)
-        left_y = self._piece_dy(self._classify(x, y, 0, -1), x, y)
-        right_y = self._piece_dy(self._classify(x, y, 0, +1), x, y)
+        left_x = self._eval(1, self._classify(x, y, -1, 0), x, y)
+        right_x = self._eval(1, self._classify(x, y, +1, 0), x, y)
+        left_y = self._eval(2, self._classify(x, y, 0, -1), x, y)
+        right_y = self._eval(2, self._classify(x, y, 0, +1), x, y)
         return np.stack([left_x, left_y], axis=1), np.stack([right_x, right_y], axis=1)
 
 
@@ -374,10 +448,15 @@ class ConvexPlateau(_CurveConstruction):
     curve: Curve2D
 
     _required_shape = SHAPE_CONVEX
-
-    def __post_init__(self) -> None:
-        self._check_shape()
-        _ = self._layout  # resolve the seam / fallback branch eagerly
+    _PASSES = _group_pieces({
+        _XSTRIP: (lambda f, x, y: f._layout.plateau + x - f._beta_cl(y), 1.0, _neg_beta_prime),
+        _YSTRIP: (lambda f, x, y: f._layout.plateau + y - f._alpha_cl(x), _neg_alpha_prime, 1.0),
+        _INNER: (
+            lambda f, x, y: (f.curve.a - f.curve.alpha(x)) + (f.curve.b - f.curve.beta(y)),
+            _neg_alpha_prime,
+            _neg_beta_prime,
+        ),
+    })
 
     @cached_property
     def _layout(self) -> _Layout:
@@ -411,48 +490,8 @@ class ConvexPlateau(_CurveConstruction):
                 piece[ys] = np.where(u >= 0, _FLAT, _YSTRIP)
             return piece
         if lay.mode == "single_shallow":
-            # Beyond the y-intercept the clamped beta is constant, so a tie
-            # there cannot be resolved by moving y.
-            cb = _cmp(y, self.curve.b, sy)
-            bval = np.where(cb >= 0, 0.0, self._beta_cl(y))
-            ssub = sx if sx != 0 else np.where(cb < 0, sy, 0)
-            t = _cmp(x, bval, ssub)
-            return np.where(t >= 0, _FLAT, _XSTRIP).astype(np.int8)
-        ca = _cmp(x, self.curve.a, sx)
-        aval = np.where(ca >= 0, 0.0, self._alpha_cl(x))
-        ssub = sy if sy != 0 else np.where(ca < 0, sx, 0)
-        u = _cmp(y, aval, ssub)
-        return np.where(u >= 0, _FLAT, _YSTRIP).astype(np.int8)
-
-    def _piece_values(self, piece, x, y):
-        lay = self._layout
-        out = np.full(x.shape, lay.plateau, dtype=float)
-        m = piece == _XSTRIP
-        if np.any(m):
-            out[m] = lay.plateau + x[m] - self._beta_cl(y[m])
-        m = piece == _YSTRIP
-        if np.any(m):
-            out[m] = lay.plateau + y[m] - self._alpha_cl(x[m])
-        m = piece == _INNER
-        if np.any(m):
-            out[m] = (self.curve.a - self.curve.alpha(x[m])) + (self.curve.b - self.curve.beta(y[m]))
-        return out
-
-    def _piece_dx(self, piece, x, y):
-        out = np.zeros(x.shape)
-        out[piece == _XSTRIP] = 1.0
-        m = (piece == _YSTRIP) | (piece == _INNER)
-        if np.any(m):
-            out[m] = -self._alpha_prime_cl(x[m])
-        return out
-
-    def _piece_dy(self, piece, x, y):
-        out = np.zeros(x.shape)
-        out[piece == _YSTRIP] = 1.0
-        m = (piece == _XSTRIP) | (piece == _INNER)
-        if np.any(m):
-            out[m] = -self._beta_prime_cl(y[m])
-        return out
+            return np.where(self._strip_classify(x, y, sx, sy, True), _FLAT, _XSTRIP).astype(np.int8)
+        return np.where(self._strip_classify(y, x, sy, sx, False), _FLAT, _YSTRIP).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -469,10 +508,11 @@ class ConvexDiag(_CurveConstruction):
     curve: Curve2D
 
     _required_shape = SHAPE_CONVEX
-
-    def __post_init__(self) -> None:
-        self._check_shape()
-        _ = self._layout
+    _PASSES = _group_pieces({
+        _XSTRIP: (lambda f, x, y: f._layout.plateau + y - f._alpha_cl(x), _neg_alpha_prime, 1.0),
+        _YSTRIP: (lambda f, x, y: f._layout.plateau + x - f._beta_cl(y), 1.0, _neg_beta_prime),
+        _SUM: (_x_plus_y, 1.0, 1.0),
+    })
 
     @cached_property
     def _layout(self) -> _Layout:
@@ -491,49 +531,13 @@ class ConvexDiag(_CurveConstruction):
         piece[(cx >= 0) & (cy >= 0)] = _FLAT
         xs = (cx >= 0) & (cy < 0)
         if np.any(xs):
-            ca = _cmp(x[xs], self.curve.a, sx)
-            aval = np.where(ca >= 0, 0.0, self._alpha_cl(x[xs]))
-            ssub = sy if sy != 0 else np.where(ca < 0, sx, 0)
-            u = _cmp(y[xs], aval, ssub)
-            piece[xs] = np.where(u >= 0, _FLAT, _XSTRIP)
+            above = self._strip_classify(y[xs], x[xs], sy, sx, False)
+            piece[xs] = np.where(above, _FLAT, _XSTRIP)
         ys = (cx < 0) & (cy >= 0)
         if np.any(ys):
-            cb = _cmp(y[ys], self.curve.b, sy)
-            bval = np.where(cb >= 0, 0.0, self._beta_cl(y[ys]))
-            ssub = sx if sx != 0 else np.where(cb < 0, sy, 0)
-            v = _cmp(x[ys], bval, ssub)
-            piece[ys] = np.where(v >= 0, _FLAT, _YSTRIP)
+            above = self._strip_classify(x[ys], y[ys], sx, sy, True)
+            piece[ys] = np.where(above, _FLAT, _YSTRIP)
         return piece
-
-    def _piece_values(self, piece, x, y):
-        lay = self._layout
-        out = np.full(x.shape, lay.plateau, dtype=float)
-        m = piece == _XSTRIP
-        if np.any(m):
-            out[m] = lay.plateau + y[m] - self._alpha_cl(x[m])
-        m = piece == _YSTRIP
-        if np.any(m):
-            out[m] = lay.plateau + x[m] - self._beta_cl(y[m])
-        m = piece == _SUM
-        if np.any(m):
-            out[m] = x[m] + y[m]
-        return out
-
-    def _piece_dx(self, piece, x, y):
-        out = np.zeros(x.shape)
-        out[(piece == _YSTRIP) | (piece == _SUM)] = 1.0
-        m = piece == _XSTRIP
-        if np.any(m):
-            out[m] = -self._alpha_prime_cl(x[m])
-        return out
-
-    def _piece_dy(self, piece, x, y):
-        out = np.zeros(x.shape)
-        out[(piece == _XSTRIP) | (piece == _SUM)] = 1.0
-        m = piece == _YSTRIP
-        if np.any(m):
-            out[m] = -self._beta_prime_cl(y[m])
-        return out
 
 
 @dataclass(frozen=True)
@@ -558,10 +562,11 @@ class ConcaveStep(_CurveConstruction):
     curve: Curve2D
 
     _required_shape = SHAPE_CONCAVE
-
-    def __post_init__(self) -> None:
-        self._check_shape()
-        _ = self._layout
+    _PASSES = _group_pieces({
+        _SUM: (_x_plus_y, 1.0, 1.0),
+        _XUP: (lambda f, x, y: y + f._beta_lin(y), 0.0, lambda f, y: 1.0 + f._beta_prime_cl(y)),
+        _YUP: (lambda f, x, y: x + f._alpha_lin(x), lambda f, x: 1.0 + f._alpha_prime_cl(x), 0.0),
+    })
 
     @cached_property
     def _layout(self) -> _Layout:
@@ -576,6 +581,16 @@ class ConcaveStep(_CurveConstruction):
         raise ConstructionError(
             "curve has no point with normal (1, 1) yet its slope range straddles 1"
         )
+
+    def _sup(self) -> float:
+        lay = self._layout
+        if lay.mode == "full":
+            return lay.plateau
+        if lay.mode == "single_steep":
+            tail = 1.0 + self.curve.beta_prime(self.curve.b)
+            return math.inf if tail > 0.0 else self.curve.b
+        tail = 1.0 + self.curve.alpha_prime(self.curve.a)
+        return math.inf if tail > 0.0 else self.curve.a
 
     def _beta_lin(self, y):
         # Linear continuation of beta past the y-intercept (slope beta'(b)).
@@ -610,41 +625,6 @@ class ConcaveStep(_CurveConstruction):
         u = _cmp(y, self._alpha_lin(x), sy if sy != 0 else sx)
         return np.where(u >= 0, _YUP, _SUM).astype(np.int8)
 
-    def _piece_values(self, piece, x, y):
-        lay = self._layout
-        out = np.full(x.shape, lay.plateau, dtype=float)
-        m = piece == _SUM
-        if np.any(m):
-            out[m] = x[m] + y[m]
-        m = piece == _XUP
-        if np.any(m):
-            out[m] = y[m] + self._beta_lin(y[m])
-        m = piece == _YUP
-        if np.any(m):
-            out[m] = x[m] + self._alpha_lin(x[m])
-        return out
-
-    def _piece_dx(self, piece, x, y):
-        out = np.zeros(x.shape)
-        out[piece == _SUM] = 1.0
-        m = piece == _YUP
-        if np.any(m):
-            out[m] = 1.0 + self._alpha_prime_cl(x[m])
-        return out
-
-    def _piece_dy(self, piece, x, y):
-        out = np.zeros(x.shape)
-        out[piece == _SUM] = 1.0
-        m = piece == _XUP
-        if np.any(m):
-            out[m] = 1.0 + self._beta_prime_cl(y[m])
-        return out
-
-
-AnyExpr = Union[
-    Linear, Sum, Scale, TruncateMin, Clamp, ConvexPlateau, ConvexDiag, ConcaveStep
-]
-
 
 def eval_at(expr: ELExpr, x):
     """Evaluate ``expr`` at a point (returns float) or an (k, n) batch (returns (k,) array)."""
@@ -670,65 +650,9 @@ def cost(expr: ELExpr) -> float:
     return float(np.max(grad.right))
 
 
-def _sup(expr: ELExpr) -> float:
-    """Supremum of the range; ``inf`` when unbounded."""
-    if isinstance(expr, Linear):
-        return math.inf
-    if isinstance(expr, Sum):
-        return _sup(expr.left) + _sup(expr.right)
-    if isinstance(expr, Scale):
-        if expr.factor == 0.0:
-            return 0.0
-        return expr.factor * _sup(expr.inner)
-    if isinstance(expr, TruncateMin):
-        return min(expr.cap, _sup(expr.inner))
-    if isinstance(expr, Clamp):
-        # Monotone inner, so the supremum over min(x, at) sits at the clamp.
-        return eval_at(expr.inner, np.asarray(expr.at, dtype=float))
-    if isinstance(expr, (ConvexPlateau, ConvexDiag)):
-        return expr._layout.plateau
-    if isinstance(expr, ConcaveStep):
-        lay = expr._layout
-        if lay.mode == "full":
-            return lay.plateau
-        if lay.mode == "single_steep":
-            tail = 1.0 + expr.curve.beta_prime(expr.curve.b)
-            return math.inf if tail > 0.0 else expr.curve.b
-        tail = 1.0 + expr.curve.alpha_prime(expr.curve.a)
-        return math.inf if tail > 0.0 else expr.curve.a
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def cost_total(expr: ELExpr) -> float:
     """Supremum of the range (total-size cost); raises for unbounded expressions."""
-    s = _sup(expr)
+    s = expr._sup()
     if not math.isfinite(s):
         raise UnboundedRangeError("cost_total undefined for unbounded EL function")
     return float(s)
-
-
-def finite_difference_partials(expr: ELExpr, x, h: float | None = None):
-    """One-sided difference-quotient approximation of the partials at a point.
-
-    Cross-check only; the propagated rules of :func:`one_sided_partials` are
-    authoritative.  The default step ``h = 1e-7 * max(1, max_i |x_i|)`` keeps
-    both the truncation and the rounding error of the quotients well below
-    1e-6 relative on the built-in expression families.  Left quotients need
-    ``x_i >= h``; entries where that fails are NaN.
-    """
-    p = np.asarray(x, dtype=float)
-    if p.ndim != 1:
-        raise DomainError("finite_difference_partials expects a single point")
-    if h is None:
-        h = 1e-7 * max(1.0, float(np.max(np.abs(p), initial=0.0)))
-    base = eval_at(expr, p)
-    n = p.shape[0]
-    left = np.full(n, np.nan)
-    right = np.empty(n)
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = h
-        right[i] = (eval_at(expr, p + step) - base) / h
-        if p[i] >= h:
-            left[i] = (base - eval_at(expr, p - step)) / h
-    return left, right

@@ -45,17 +45,30 @@ __all__ = [
     "dumps",
 ]
 
+# A document's keys are the dataclass fields of its node or curve family.
+_OPS = {
+    "linear": Linear,
+    "sum": Sum,
+    "scale": Scale,
+    "truncate_min": TruncateMin,
+    "clamp": Clamp,
+    "convex_plateau": ConvexPlateau,
+    "convex_diag": ConvexDiag,
+    "concave_step": ConcaveStep,
+}
+_OP_OF = {cls: op for op, cls in _OPS.items()}
+_FAMILIES = {cls.family: cls for cls in (LineCurve, QuadraticCurve, HyperbolaCurve)}
+_CURVE_FIELDS = ("a", "b", "shape")  # every other field of a curve family is a param
+
+
+def _curve_params(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls) if f.name not in _CURVE_FIELDS]
+
 
 def surface_to_dict(surface: Surface) -> dict:
     if isinstance(surface, Hyperplane):
         return {"kind": "hyperplane", "c": list(surface.c), "M": surface.M}
-    if isinstance(surface, LineCurve):
-        params: dict[str, float] = {}
-    elif isinstance(surface, QuadraticCurve):
-        params = {"c2": surface.c2}
-    elif isinstance(surface, HyperbolaCurve):
-        params = {"s": surface.s, "t": surface.t}
-    else:
+    if _FAMILIES.get(getattr(surface, "family", None)) is not type(surface):
         raise ConfigError(f"unknown surface type {type(surface).__name__}")
     return {
         "kind": "curve",
@@ -63,11 +76,11 @@ def surface_to_dict(surface: Surface) -> dict:
         "a": surface.a,
         "b": surface.b,
         "shape": surface.shape,
-        "params": params,
+        "params": {name: getattr(surface, name) for name in _curve_params(type(surface))},
     }
 
 
-def _take(doc: dict, required: dict[str, type], optional: dict[str, Any], where: str) -> dict:
+def _take(doc: dict, required, optional: dict[str, Any], where: str) -> dict:
     unknown = set(doc) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -86,28 +99,20 @@ def surface_from_dict(doc: dict) -> Surface:
         raise ConfigError("surface document must be an object with a 'kind' key")
     try:
         if doc["kind"] == "hyperplane":
-            fields = _take(doc, {"kind": str, "c": list, "M": float}, {}, "hyperplane surface")
+            fields = _take(doc, ("kind", "c", "M"), {}, "hyperplane surface")
             return Hyperplane(c=tuple(float(v) for v in fields["c"]), M=float(fields["M"]))
         if doc["kind"] == "curve":
             fields = _take(
-                doc,
-                {"kind": str, "family": str, "a": float, "b": float},
-                {"shape": "auto", "params": {}},
-                "curve surface",
+                doc, ("kind", "family", "a", "b"), {"shape": "auto", "params": {}}, "curve surface"
             )
             family = fields["family"]
             a, b, shape = float(fields["a"]), float(fields["b"]), fields["shape"]
-            params = fields["params"] or {}
-            if family == "line":
-                _take(params, {}, {}, "line params")
-                return LineCurve(a=a, b=b, shape=shape)
-            if family == "quadratic":
-                p = _take(params, {"c2": float}, {}, "quadratic params")
-                return QuadraticCurve(a=a, b=b, c2=float(p["c2"]), shape=shape)
-            if family == "hyperbola":
-                p = _take(params, {"s": float, "t": float}, {}, "hyperbola params")
-                return HyperbolaCurve(a=a, b=b, s=float(p["s"]), t=float(p["t"]), shape=shape)
-            raise ConfigError(f"unknown curve family {family!r}")
+            cls = _FAMILIES.get(family) if isinstance(family, str) else None
+            if cls is None:
+                raise ConfigError(f"unknown curve family {family!r}")
+            names = _curve_params(cls)
+            params = _take(fields["params"] or {}, names, {}, f"{family} params")
+            return cls(a=a, b=b, shape=shape, **{name: float(params[name]) for name in names})
         raise ConfigError(f"unknown surface kind {doc['kind']!r}")
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -115,31 +120,40 @@ def surface_from_dict(doc: dict) -> Surface:
         raise ConfigError(f"malformed surface document: {exc}") from exc
 
 
+def _encode(value):
+    if isinstance(value, ELExpr):
+        return expr_to_dict(value)
+    if isinstance(value, Curve2D):
+        return surface_to_dict(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
 def expr_to_dict(expr: ELExpr) -> dict:
-    if isinstance(expr, Linear):
-        return {"op": "linear", "c": list(expr.c)}
-    if isinstance(expr, Sum):
-        return {"op": "sum", "left": expr_to_dict(expr.left), "right": expr_to_dict(expr.right)}
-    if isinstance(expr, Scale):
-        return {"op": "scale", "factor": expr.factor, "inner": expr_to_dict(expr.inner)}
-    if isinstance(expr, TruncateMin):
-        return {"op": "truncate_min", "cap": expr.cap, "inner": expr_to_dict(expr.inner)}
-    if isinstance(expr, Clamp):
-        return {"op": "clamp", "at": list(expr.at), "inner": expr_to_dict(expr.inner)}
-    if isinstance(expr, ConvexPlateau):
-        return {"op": "convex_plateau", "curve": surface_to_dict(expr.curve)}
-    if isinstance(expr, ConvexDiag):
-        return {"op": "convex_diag", "curve": surface_to_dict(expr.curve)}
-    if isinstance(expr, ConcaveStep):
-        return {"op": "concave_step", "curve": surface_to_dict(expr.curve)}
-    raise ConfigError(f"unknown expression node {type(expr).__name__}")
+    op = _OP_OF.get(type(expr))
+    if op is None:
+        raise ConfigError(f"unknown expression node {type(expr).__name__}")
+    doc = {"op": op}
+    for field in dataclasses.fields(expr):
+        doc[field.name] = _encode(getattr(expr, field.name))
+    return doc
 
 
-def _curve_from(doc: dict, where: str) -> Curve2D:
+def _curve_from(doc, where: str) -> Curve2D:
     surface = surface_from_dict(doc)
     if isinstance(surface, Hyperplane):
         raise ConfigError(f"{where} needs a curve, got a hyperplane")
     return surface
+
+
+def _decode(annotation: str, value, op: str):
+    # Field annotations are strings (postponed evaluation in elopt.exprs).
+    if annotation == "ELExpr":
+        return expr_from_dict(value)
+    if annotation == "Curve2D":
+        return _curve_from(value, op)
+    if annotation == "float":
+        return float(value)
+    return tuple(float(v) for v in value)
 
 
 def expr_from_dict(doc: dict) -> ELExpr:
@@ -147,31 +161,12 @@ def expr_from_dict(doc: dict) -> ELExpr:
         raise ConfigError("expression document must be an object with an 'op' key")
     op = doc["op"]
     try:
-        if op == "linear":
-            fields = _take(doc, {"op": str, "c": list}, {}, "linear node")
-            return Linear(c=tuple(float(v) for v in fields["c"]))
-        if op == "sum":
-            fields = _take(doc, {"op": str, "left": dict, "right": dict}, {}, "sum node")
-            return Sum(expr_from_dict(fields["left"]), expr_from_dict(fields["right"]))
-        if op == "scale":
-            fields = _take(doc, {"op": str, "factor": float, "inner": dict}, {}, "scale node")
-            return Scale(float(fields["factor"]), expr_from_dict(fields["inner"]))
-        if op == "truncate_min":
-            fields = _take(doc, {"op": str, "cap": float, "inner": dict}, {}, "truncate_min node")
-            return TruncateMin(float(fields["cap"]), expr_from_dict(fields["inner"]))
-        if op == "clamp":
-            fields = _take(doc, {"op": str, "at": list, "inner": dict}, {}, "clamp node")
-            return Clamp(tuple(float(v) for v in fields["at"]), expr_from_dict(fields["inner"]))
-        if op == "convex_plateau":
-            fields = _take(doc, {"op": str, "curve": dict}, {}, "convex_plateau node")
-            return ConvexPlateau(_curve_from(fields["curve"], "convex_plateau"))
-        if op == "convex_diag":
-            fields = _take(doc, {"op": str, "curve": dict}, {}, "convex_diag node")
-            return ConvexDiag(_curve_from(fields["curve"], "convex_diag"))
-        if op == "concave_step":
-            fields = _take(doc, {"op": str, "curve": dict}, {}, "concave_step node")
-            return ConcaveStep(_curve_from(fields["curve"], "concave_step"))
-        raise ConfigError(f"unknown expression op {op!r}")
+        cls = _OPS.get(op) if isinstance(op, str) else None
+        if cls is None:
+            raise ConfigError(f"unknown expression op {op!r}")
+        fields = dataclasses.fields(cls)
+        values = _take(doc, ["op"] + [f.name for f in fields], {}, f"{op} node")
+        return cls(*(_decode(f.type, values[f.name], op) for f in fields))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -28,23 +28,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .constructions import (
-    ConstructionResult,
-    concave_construct,
-    convex_plateau,
-    linear_opt,
-    linear_opt_curve,
-)
+from .constructions import construct
 from .errors import DomainError
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
-from .surfaces import (
-    SHAPE_CONCAVE,
-    SHAPE_CONVEX,
-    SHAPE_LINEAR,
-    Curve2D,
-    Hyperplane,
-    Surface,
-)
+from .surfaces import Curve2D, Hyperplane, Surface
 
 __all__ = [
     "PropertyCheck",
@@ -548,18 +535,6 @@ def sup_ratio_sampled(curve: Curve2D, grid: int = 1024, refine_iters: int = 80) 
     return float(max(values[best], f1, f2))
 
 
-def _matching_construction(surface: Surface) -> ConstructionResult:
-    if isinstance(surface, Hyperplane):
-        return linear_opt(surface)
-    if surface.shape == SHAPE_LINEAR:
-        return linear_opt_curve(surface)
-    if surface.shape == SHAPE_CONVEX:
-        return convex_plateau(surface)
-    if surface.shape == SHAPE_CONCAVE:
-        return concave_construct(surface)
-    raise DomainError(f"no construction for shape {surface.shape!r}")
-
-
 def gap_report(
     surface: Surface,
     grid_m: Union[int, Sequence[int], None] = None,
@@ -570,7 +545,7 @@ def gap_report(
     (an upper bound on the optimum), and optionally the grid-LP lower bound
     for each requested grid size (two-dimensional surfaces only).
     """
-    result = _matching_construction(surface)
+    result = construct(surface)
     bound = normal_ratio_bound(surface)
     try:
         total = cost_total(result.expr)

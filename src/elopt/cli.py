@@ -59,24 +59,16 @@ from .analysis import (
     gap_report,
     normal_ratio_bound,
 )
-from .constructions import (
-    ConstructionResult,
-    concave_construct,
-    convex_diag,
-    convex_plateau,
-    linear_opt,
-    linear_opt_curve,
-)
+from .constructions import CONSTRUCTION_NAMES, ConstructionResult, construct, convex_diag
 from .errors import ConfigError, ConstructionError, EloptError, ShapeError, SolverError
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
 from .lp_oracle import build_lp, dump_lp, solve_lp
 from .serialize import dumps, expr_from_dict, expr_to_dict, surface_from_dict
-from .surfaces import SHAPE_CONVEX, SHAPE_LINEAR, Hyperplane, Surface
+from .surfaces import SHAPE_CONVEX, Hyperplane, Surface
 
 __all__ = ["main"]
 
 _KNOWN_KEYS = {"schema", "surface", "seed", "samples", "surface_samples", "grid", "construction"}
-_CONSTRUCTION_NAMES = ("auto", "linear_opt", "convex_plateau", "convex_diag", "concave_step")
 
 
 @dataclass
@@ -111,7 +103,7 @@ def _load_job(args) -> _Job:
         raise ConfigError("config needs a \"surface\" entry")
     surface = surface_from_dict(doc["surface"])
     construction = doc.get("construction", "auto")
-    if construction not in _CONSTRUCTION_NAMES:
+    if construction not in CONSTRUCTION_NAMES:
         raise ConfigError(f"unknown construction {construction!r}")
     grid = doc.get("grid", [16, 32])
     if args.grid is not None:
@@ -142,16 +134,6 @@ def _emit(job: _Job, obj, text_lines: list[str]) -> None:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _require_valid_surface(job: _Job) -> Optional[int]:
-    report = job.surface.validate()
-    if not report.valid:
-        sys.stderr.write("surface validation failed:\n")
-        for clause in report.violations:
-            sys.stderr.write(f"  - {clause}\n")
-        return 3
-    return None
-
-
 def _box(surface: Surface) -> tuple[float, ...]:
     if isinstance(surface, Hyperplane):
         return tuple(1.5 * v for v in surface.intercepts())
@@ -159,30 +141,18 @@ def _box(surface: Surface) -> tuple[float, ...]:
 
 
 def _build_constructions(job: _Job) -> list[ConstructionResult]:
-    surface = job.surface
-    name = job.construction
-    if isinstance(surface, Hyperplane):
-        if name not in ("auto", "linear_opt"):
-            raise ConfigError(f"construction {name!r} needs a curve surface")
-        return [linear_opt(surface)]
-    if name == "auto":
-        if surface.shape == SHAPE_LINEAR:
-            return [linear_opt_curve(surface)]
-        if surface.shape == SHAPE_CONVEX:
-            results = [convex_plateau(surface)]
-            try:
-                results.append(convex_diag(surface))
-            except ConstructionError:
-                pass  # no seam point: only the plateau fallback applies
-            return results
-        return [concave_construct(surface)]
-    builders = {
-        "linear_opt": linear_opt_curve,
-        "convex_plateau": convex_plateau,
-        "convex_diag": convex_diag,
-        "concave_step": concave_construct,
-    }
-    return [builders[name](surface)]
+    """The configured construction; ``auto`` on a convex curve adds ``convex_diag`` when it applies."""
+    results = [construct(job.surface, job.construction)]
+    if (
+        job.construction == "auto"
+        and not isinstance(job.surface, Hyperplane)
+        and job.surface.shape == SHAPE_CONVEX
+    ):
+        try:
+            results.append(convex_diag(job.surface))
+        except ConstructionError:
+            pass  # no seam point: only the plateau fallback applies
+    return results
 
 
 def _total_or_none(expr: ELExpr) -> Optional[float]:
@@ -192,8 +162,7 @@ def _total_or_none(expr: ELExpr) -> Optional[float]:
         return None
 
 
-def _cmd_validate(args) -> int:
-    job = _load_job(args)
+def _cmd_validate(job: _Job, args) -> int:
     report = job.surface.validate()
     lines = [f"kind: {report.kind}", f"valid: {report.valid}"]
     if report.slope_range is not None:
@@ -208,11 +177,7 @@ def _cmd_validate(args) -> int:
     return 0 if report.valid else 3
 
 
-def _cmd_bound(args) -> int:
-    job = _load_job(args)
-    failed = _require_valid_surface(job)
-    if failed:
-        return failed
+def _cmd_bound(job: _Job, args) -> int:
     bound = normal_ratio_bound(job.surface)
     _emit(
         job,
@@ -226,11 +191,7 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _cmd_construct(args) -> int:
-    job = _load_job(args)
-    failed = _require_valid_surface(job)
-    if failed:
-        return failed
+def _cmd_construct(job: _Job, args) -> int:
     job.out.mkdir(parents=True, exist_ok=True)
     results = _build_constructions(job)
     payload = []
@@ -258,7 +219,7 @@ def _cmd_construct(args) -> int:
 
 def _load_expr(job: _Job, expr_path: Optional[str]) -> ELExpr:
     if expr_path is None:
-        return _build_constructions(job)[0].expr
+        return construct(job.surface, job.construction).expr
     try:
         doc = json.loads(Path(expr_path).read_text())
     except OSError as exc:
@@ -268,11 +229,7 @@ def _load_expr(job: _Job, expr_path: Optional[str]) -> ELExpr:
     return expr_from_dict(doc)
 
 
-def _cmd_check(args) -> int:
-    job = _load_job(args)
-    failed = _require_valid_surface(job)
-    if failed:
-        return failed
+def _cmd_check(job: _Job, args) -> int:
     expr = _load_expr(job, args.expr)
     el = check_el(expr, _box(job.surface), samples=job.samples, seed=job.seed)
     feas = check_feasible(expr, job.surface, samples=job.surface_samples, seed=job.seed)
@@ -290,11 +247,7 @@ def _cmd_check(args) -> int:
     return 0 if el.passed and feas.feasible else 4
 
 
-def _cmd_lp(args) -> int:
-    job = _load_job(args)
-    failed = _require_valid_surface(job)
-    if failed:
-        return failed
+def _cmd_lp(job: _Job, args) -> int:
     rows = []
     lines = []
     for m in job.grid:
@@ -315,11 +268,7 @@ def _cmd_lp(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    job = _load_job(args)
-    failed = _require_valid_surface(job)
-    if failed:
-        return failed
+def _cmd_report(job: _Job, args) -> int:
     two_dim = not isinstance(job.surface, Hyperplane) or job.surface.dim == 2
     report = gap_report(job.surface, grid_m=job.grid if two_dim else None)
     job.out.mkdir(parents=True, exist_ok=True)
@@ -339,11 +288,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    job = _load_job(args)
-    failed = _require_valid_surface(job)
-    if failed:
-        return failed
+def _cmd_sample(job: _Job, args) -> int:
     expr = _load_expr(job, args.expr)
     if expr.dim != 2:
         raise ConfigError("sample emits 2-D plot data; the expression must have dim 2")
@@ -411,7 +356,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        job = _load_job(args)
+        if args.func is not _cmd_validate:
+            report = job.surface.validate()
+            if not report.valid:
+                sys.stderr.write("surface validation failed:\n")
+                for clause in report.violations:
+                    sys.stderr.write(f"  - {clause}\n")
+                return 3
+        return args.func(job, args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

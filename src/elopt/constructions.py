@@ -27,15 +27,19 @@ from .exprs import (
     TruncateMin,
     cost,
 )
-from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, SHAPE_LINEAR, Curve2D, Hyperplane
+from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, SHAPE_LINEAR, Curve2D, Hyperplane, Surface
 
 __all__ = [
+    "CONSTRUCTION_NAMES",
     "ConstructionResult",
+    "construct",
     "linear_opt",
     "convex_plateau",
     "convex_diag",
     "concave_construct",
 ]
+
+CONSTRUCTION_NAMES = ("auto", "linear_opt", "convex_plateau", "convex_diag", "concave_step")
 
 _COST_MATCH_TOL = 1e-9
 
@@ -174,3 +178,30 @@ def concave_construct(curve: Curve2D) -> ConstructionResult:
     if mode != "full":
         _verify_fallback(expr, curve, "concave_construct")
     return _finish(expr, k, k, "concave_construct")
+
+
+def construct(surface: Surface, name: str = "auto") -> ConstructionResult:
+    """Build the construction ``name`` (one of :data:`CONSTRUCTION_NAMES`) for ``surface``.
+
+    ``"auto"`` picks the optimum matching the surface: ``linear_opt`` for
+    hyperplanes and linear curves, ``convex_plateau`` for convex curves and
+    ``concave_step`` for concave ones.
+    """
+    if name not in CONSTRUCTION_NAMES:
+        raise ValueError(f"unknown construction {name!r}")
+    if isinstance(surface, Hyperplane):
+        if name not in ("auto", "linear_opt"):
+            raise ShapeError(f"construction {name!r} needs a curve surface")
+        return linear_opt(surface)
+    if name == "auto":
+        name = {SHAPE_LINEAR: "linear_opt", SHAPE_CONVEX: "convex_plateau",
+                SHAPE_CONCAVE: "concave_step"}[surface.shape]
+    # Looked up per call, not kept in a module-level dict, so that a builder
+    # rebound on this module (the benchmark's tracer does so) is the one run.
+    builders = {
+        "linear_opt": linear_opt_curve,
+        "convex_plateau": convex_plateau,
+        "convex_diag": convex_diag,
+        "concave_step": concave_construct,
+    }
+    return builders[name](surface)

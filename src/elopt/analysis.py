@@ -22,7 +22,6 @@ fanned out across workers without changing the result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -42,7 +41,6 @@ __all__ = [
     "check_el",
     "check_feasible",
     "normal_ratio_bound",
-    "sup_ratio_sampled",
     "gap_report",
     "DEFAULT_PAIR_SAMPLES",
     "DEFAULT_SURFACE_SAMPLES",
@@ -500,39 +498,6 @@ def normal_ratio_bound(surface: Surface) -> RatioBound:
         value, j, i = 1.0 / s_lo, 1, 0
     point = (float(x_star), float(surface.alpha(x_star)))
     return RatioBound(value=float(value), point=point, j=j, i=i)
-
-
-def sup_ratio_sampled(curve: Curve2D, grid: int = 1024, refine_iters: int = 80) -> float:
-    """General sampled supremum of the normal ratio, with golden-section refinement.
-
-    Not needed for the built-in monotone-slope families (the closed-form
-    endpoint value of :func:`normal_ratio_bound` is exact there); provided
-    for curves whose slope is not monotone.
-    """
-
-    def ratio(x):
-        s = -float(curve.alpha_prime(x))
-        return max(s, 1.0 / s)
-
-    xs = np.linspace(0.0, curve.a, grid + 1)
-    values = np.array([ratio(x) for x in xs])
-    best = int(np.argmax(values))
-    lo = xs[max(0, best - 1)]
-    hi = xs[min(grid, best + 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = ratio(x1), ratio(x2)
-    for _ in range(refine_iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = ratio(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = ratio(x1)
-    return float(max(values[best], f1, f2))
 
 
 def gap_report(

@@ -49,8 +49,6 @@ __all__ = [
     "TPoint",
     "SurfaceValidationReport",
     "Surface",
-    "validate",
-    "normal",
     "bisect_decreasing",
 ]
 
@@ -253,23 +251,10 @@ class Curve2D:
         ga = float(self.alpha_prime(self.a)) + 1.0
         if g0 == 0.0 or ga == 0.0 or (g0 > 0.0) == (ga > 0.0):
             return None
-        lo, hi = 0.0, self.a
-        glo = g0
-        for _ in range(_BISECT_MAX_ITER):
-            if hi - lo <= _BISECT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            gm = float(self.alpha_prime(mid)) + 1.0
-            if gm == 0.0:
-                lo = hi = mid
-                break
-            if (gm > 0.0) == (glo > 0.0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-        else:
-            raise EloptError("t-point bisection did not converge within 200 iterations")
-        t_x = 0.5 * (lo + hi)
+        # Flip the sign so that the bisected function decreases; negation is
+        # exact, so the midpoints are those of the unflipped search.
+        sign = 1.0 if g0 > 0.0 else -1.0
+        t_x = bisect_decreasing(lambda x: sign * (float(self.alpha_prime(x)) + 1.0), 0.0, self.a, 0.0)
         return TPoint(t_x=t_x, t_y=float(self.alpha(t_x)))
 
     def normal_at(self, x: float) -> np.ndarray:
@@ -470,24 +455,3 @@ def hyperbola_through(a: float, b: float, s: float) -> HyperbolaCurve:
 
 
 Surface = Union[Hyperplane, Curve2D]
-
-
-def validate(surface: Surface) -> SurfaceValidationReport:
-    """Check all surface requirements; returns a report, never raises for math violations."""
-    return surface.validate()
-
-
-def normal(surface: Surface, x) -> np.ndarray:
-    """Outward normal at a surface point.
-
-    For hyperplanes ``x`` is a full point on the surface; for curves ``x``
-    may be the scalar curve parameter or the point ``(x, alpha(x))``.
-    """
-    if isinstance(surface, Hyperplane):
-        return surface.normal_at(x)
-    if np.ndim(x) == 0:
-        return surface.normal_at(float(x))
-    p = np.asarray(x, dtype=float)
-    if not surface.contains(p):
-        raise DomainError(f"point {p!r} is not on the curve")
-    return surface.normal_at(float(p[0]))

@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the library code paths they check."""
 
+import math
+
 import numpy as np
 
 from elopt import eval_at
@@ -84,6 +86,38 @@ def fd_one_sided(expr, point, h):
         if point[i] >= h:
             left[i] = (base - eval_at(expr, point - step)) / h
     return left, right
+
+
+def sup_ratio_sampled(curve, grid=1024, refine_iters=80):
+    """General sampled supremum of the normal ratio, with golden-section refinement.
+
+    Reference for the closed-form endpoint value of ``normal_ratio_bound``,
+    which assumes a monotone slope; this makes no such assumption.
+    """
+
+    def ratio(x):
+        s = -float(curve.alpha_prime(x))
+        return max(s, 1.0 / s)
+
+    xs = np.linspace(0.0, curve.a, grid + 1)
+    values = np.array([ratio(x) for x in xs])
+    best = int(np.argmax(values))
+    lo = xs[max(0, best - 1)]
+    hi = xs[min(grid, best + 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = ratio(x1), ratio(x2)
+    for _ in range(refine_iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = ratio(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = ratio(x1)
+    return float(max(values[best], f1, f2))
 
 
 def simplex_min_geq(c, A, b, max_iter=200_000):

@@ -18,8 +18,8 @@ from elopt import (
     hyperbola_through,
     linear_opt,
     normal_ratio_bound,
-    sup_ratio_sampled,
 )
+from helpers import sup_ratio_sampled
 
 
 def test_truncated_linear_passes_the_suite():

@@ -11,8 +11,6 @@ from elopt import (
     QuadraticCurve,
     bisect_decreasing,
     hyperbola_through,
-    normal,
-    validate,
 )
 from helpers import qc_beta, qcc_beta
 
@@ -100,17 +98,17 @@ def test_t_point_absent_when_slope_stays_on_one_side():
 
 
 def test_validate_worked_curves(qc, qcc):
-    report = validate(qc)
+    report = qc.validate()
     assert report.valid
     assert report.slope_range == pytest.approx((0.5, 1.5))
     assert report.shape == "strictly_convex"
-    assert validate(qcc).valid
+    assert qcc.validate().valid
 
 
 def test_validate_flags_degenerate_endpoint_normal():
     # alpha = (1 - x)^2 has alpha'(1) = 0: outward normal degenerates there
     curve = QuadraticCurve(a=1.0, b=1.0, c2=1.0)
-    report = validate(curve)
+    report = curve.validate()
     assert not report.valid
     assert any("degenerate" in v for v in report.violations)
 
@@ -118,24 +116,24 @@ def test_validate_flags_degenerate_endpoint_normal():
 def test_validate_flags_inconsistent_hyperbola_parameters():
     # consistency requires t = s b / a = 2; t = 1 misses the y-intercept
     curve = HyperbolaCurve(a=1.0, b=2.0, s=1.0, t=1.0)
-    report = validate(curve)
+    report = curve.validate()
     assert not report.valid
     assert any("y-intercept" in v for v in report.violations)
-    assert validate(hyperbola_through(1.0, 2.0, 1.0)).valid
+    assert hyperbola_through(1.0, 2.0, 1.0).validate().valid
 
 
 def test_validate_flags_shape_mismatch():
-    report = validate(QuadraticCurve(a=1.0, b=1.0, c2=-0.5, shape="strictly_convex"))
+    report = QuadraticCurve(a=1.0, b=1.0, c2=-0.5, shape="strictly_convex").validate()
     assert not report.valid
     assert any("curvature" in v for v in report.violations)
-    report = validate(QuadraticCurve(a=1.0, b=1.0, c2=0.5, shape="linear"))
+    report = QuadraticCurve(a=1.0, b=1.0, c2=0.5, shape="linear").validate()
     assert not report.valid
 
 
 def test_validate_flags_non_monotone_arc():
     # vertex of the parabola sits at x = 0.75 < a: alpha turns around inside
     curve = QuadraticCurve(a=1.0, b=1.0, c2=2.0)
-    report = validate(curve)
+    report = curve.validate()
     assert not report.valid
     assert any("strictly decreasing" in v for v in report.violations)
 
@@ -161,7 +159,7 @@ def test_malformed_inputs_raise():
 
 def test_hyperplane_validate_and_helpers():
     plane = Hyperplane(c=(1.0, 2.0), M=1.0)
-    report = validate(plane)
+    report = plane.validate()
     assert report.valid and report.normal == (1.0, 2.0)
     assert plane.intercepts() == (1.0, 0.5)
     assert plane.contains((0.5, 0.25))
@@ -170,27 +168,23 @@ def test_hyperplane_validate_and_helpers():
 
 def test_normal_operation():
     plane = Hyperplane(c=(1.0, 4.0), M=2.0)
-    assert np.array_equal(normal(plane, (1.0, 0.25)), np.array([1.0, 4.0]))
+    assert np.array_equal(plane.normal_at((1.0, 0.25)), np.array([1.0, 4.0]))
     with pytest.raises(DomainError):
-        normal(plane, (1.0, 1.0))
+        plane.normal_at((1.0, 1.0))
 
     qc = QuadraticCurve(a=1.0, b=1.0, c2=0.5)
-    assert np.allclose(normal(qc, 0.5), [1.0, 1.0])
+    assert np.allclose(qc.normal_at(0.5), [1.0, 1.0])
     qcc = QuadraticCurve(a=1.0, b=1.0, c2=-0.5)
-    assert np.allclose(normal(qcc, 0.75), [1.25, 1.0])
-    # point form is accepted when it sits on the curve
-    assert np.allclose(normal(qc, (0.5, float(qc.alpha(0.5)))), [1.0, 1.0])
-    with pytest.raises(DomainError):
-        normal(qc, (0.5, 0.9))
+    assert np.allclose(qcc.normal_at(0.75), [1.25, 1.0])
     with pytest.raises(DomainError):
         qc.normal_at(1.5)
 
 
 def test_normals_stay_within_validated_slope_bounds(qc, qcc):
     for curve in (qc, qcc, hyperbola_through(2.0, 0.5, 0.4)):
-        lo, hi = validate(curve).slope_range
+        lo, hi = curve.validate().slope_range
         for x in np.linspace(1e-3, curve.a - 1e-3, 64):
-            nx, ny = normal(curve, float(x))
+            nx, ny = curve.normal_at(float(x))
             assert lo - 1e-12 <= nx <= hi + 1e-12
             assert ny == 1.0
 

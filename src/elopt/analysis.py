@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .constructions import construct
-from .errors import DomainError
+from .errors import DomainError, UnboundedRangeError
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
 from .surfaces import Curve2D, Hyperplane, Surface
 
@@ -514,7 +514,7 @@ def gap_report(
     bound = normal_ratio_bound(surface)
     try:
         total = cost_total(result.expr)
-    except Exception:
+    except UnboundedRangeError:
         total = None
 
     lp_values = None

@@ -59,9 +59,10 @@ FD_REL_TOL = 1e-6
 JUMP_TOL = 1e-6
 FEASIBLE_MARGIN_FRAC = 1e-4
 LIMIT_EPS = tuple(10.0 ** -k for k in range(2, 9))  # 1e-2 ... 1e-8, geometric
-# The ladder stops at 1e-8, leaving a curvature residual of |f''| * 1e-8 in
-# the final comparison; 1e-6 accommodates section curvature up to 100 while
-# still catching misclassified one-sided values, which are off by O(1).
+# The last two rungs (1e-7, 1e-8) are extrapolated linearly to eps = 0, which
+# cancels the first-order curvature residual |f''| * eps of the final rung;
+# what remains is rounding and |f'''| * 1e-15, far below 1e-6, while a
+# misclassified one-sided value is off by O(1).
 LIMIT_TOL = 1e-6
 
 _FD_POINTS = 256
@@ -334,7 +335,10 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     boundary; a segment is accepted as smooth when the exact one-sided
     derivatives at its two ends agree to 1e-4 (curvature over a 1e-7 step is
     orders of magnitude below that, kinks of the built-in nodes are orders
-    of magnitude above).
+    of magnitude above).  On a smooth step the quotient is compared with the
+    mean of those two end derivatives (the trapezoid rule): its error is of
+    order h**2 |f'''|, where either end alone leaves h |f''| / 2, so strong
+    curvature is not mistaken for a wrong derivative rule.
     """
     n = box_arr.size
     P = gen.uniform(0.0, box_arr, (_FD_POINTS, n))
@@ -349,11 +353,10 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
         plus = P + step
         q_right = (eval_at(expr, plus) - base) / h
         d_right = grad.right[:, i]
-        smooth = (
-            np.abs(one_sided_partials(expr, plus).left[:, i] - d_right)
-            <= 1e-4 * np.maximum(1.0, np.abs(d_right))
-        )
-        rel = np.abs(q_right - d_right) / np.maximum(1.0, np.abs(d_right))
+        d_end = one_sided_partials(expr, plus).left[:, i]
+        scale = np.maximum(1.0, np.abs(d_right))
+        smooth = np.abs(d_end - d_right) <= 1e-4 * scale
+        rel = np.abs(q_right - 0.5 * (d_right + d_end)) / scale
         for row in np.nonzero(smooth)[0]:
             viols.append(rel[row])
             witnesses.append((_pt(P[row]), i, "right"))
@@ -364,12 +367,18 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
         q_left = (base - eval_at(expr, minus)) / h
         d_left = grad.left[:, i]
         back = one_sided_partials(expr, np.maximum(minus, 0.0)).right[:, i]
-        smooth = can_left & (np.abs(back - d_left) <= 1e-4 * np.maximum(1.0, np.abs(d_left)))
-        rel = np.abs(q_left - d_left) / np.maximum(1.0, np.abs(d_left))
+        scale = np.maximum(1.0, np.abs(d_left))
+        smooth = can_left & (np.abs(back - d_left) <= 1e-4 * scale)
+        rel = np.abs(q_left - 0.5 * (d_left + back)) / scale
         for row in np.nonzero(smooth)[0]:
             viols.append(rel[row])
             witnesses.append((_pt(P[row]), i, "left"))
     return _worst("fd_agreement", viols, FD_REL_TOL, lambda i: witnesses[i])
+
+
+def _ladder_limit(seq: np.ndarray) -> np.ndarray:
+    # Linear extrapolation to eps = 0 from the last two rungs, eps and 10 eps.
+    return seq[-1] + (seq[-1] - seq[-2]) / 9.0
 
 
 def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
@@ -378,7 +387,8 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     Walking in from the right, ``f_i^+(x + eps e_i)`` increases monotonically
     to ``f_i^+(x)`` as ``eps`` shrinks; walking in from the left,
     ``f_i^+(x - eps e_i)`` decreases monotonically to ``f_i^-(x)``.  Both are
-    checked over a geometric ``eps`` ladder.
+    checked over a geometric ``eps`` ladder: monotonicity rung by rung, and
+    the limit against the ladder extrapolated to ``eps = 0``.
     """
     n = box_arr.size
     P = gen.uniform(0.0, box_arr, (_LIMIT_POINTS, n))
@@ -394,7 +404,7 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
             seq_plus.append(one_sided_partials(expr, Q).right[:, i])
         seq_plus = np.stack(seq_plus)  # ladder index grows as eps shrinks
         mono = np.max(seq_plus[:-1] - seq_plus[1:], axis=0)
-        conv = np.abs(seq_plus[-1] - grad.right[:, i])
+        conv = np.abs(_ladder_limit(seq_plus) - grad.right[:, i])
         for row in range(len(P)):
             viols.append(max(float(mono[row]), float(conv[row])))
             witnesses.append((_pt(P[row]), i, "right"))
@@ -409,7 +419,7 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
                 seq_minus.append(one_sided_partials(expr, Q).right[:, i])
             seq_minus = np.stack(seq_minus)
             mono = np.max(seq_minus[1:] - seq_minus[:-1], axis=0)
-            conv = np.abs(seq_minus[-1] - grad.left[usable, i])
+            conv = np.abs(_ladder_limit(seq_minus) - grad.left[usable, i])
             for k, row in enumerate(np.nonzero(usable)[0]):
                 viols.append(max(float(mono[k]), float(conv[k])))
                 witnesses.append((_pt(P[row]), i, "left"))

@@ -6,6 +6,7 @@ from elopt import (
     DomainError,
     Hyperplane,
     Linear,
+    QuadraticCurve,
     Scale,
     TruncateMin,
     check_el,
@@ -167,11 +168,25 @@ def test_check_el_input_validation(qc):
 
 
 def test_derivative_suite_catches_wrong_derivatives(qc):
-    # a node lying about its derivatives must fail the FD cross-check
-    class Lying(ConvexPlateau):
-        def _partials(self, X):
-            left, right = super()._partials(X)
-            return left * 1.5, right * 1.5
+    # a node lying about its derivatives, grossly or by 1e-5 relative,
+    # must fail the FD cross-check
+    for factor in (1.5, 1.0 + 1e-5):
+        class Lying(ConvexPlateau):
+            def _partials(self, X):
+                left, right = super()._partials(X)
+                return left * factor, right * factor
 
-    rep = check_el(Lying(qc), (1.2, 1.2), samples=1500, seed=11)
-    assert not rep.property("fd_agreement").passed
+        rep = check_el(Lying(qc), (1.2, 1.2), samples=1500, seed=11)
+        assert not rep.property("fd_agreement").passed, factor
+
+
+def test_derivative_checks_accept_strongly_curved_sections():
+    # A correct construction on a sharply bent arc (alpha'' = -3.5): a
+    # quotient compared with the derivative at one end of its step, or a
+    # limit ladder read off at its last rung, misses by h |f''| / 2 and
+    # failed fd_agreement here with seed 1.
+    curve = QuadraticCurve(a=0.734, b=1.447, c2=-1.7672675571130532)
+    rep = check_el(concave_construct(curve).expr, (1.5 * curve.a, 1.5 * curve.b), samples=2000, seed=1)
+    assert rep.passed
+    assert rep.property("fd_agreement").worst_violation < 1e-7
+    assert rep.property("derivative_limits").worst_violation < 1e-9

@@ -140,6 +140,17 @@ def test_invalid_curve_rejected():
         convex_plateau(degenerate)
 
 
+def test_shallow_convex_fallback_passes_its_own_verification():
+    # Every slope is below 1 (0.45 down to 0.05), so the single-branch
+    # plateau is built and suite-verified; the section curvature reaches
+    # |f''| = 1600 near the x-intercept, which the derivative checks must
+    # not mistake for a wrong rule.
+    curve = QuadraticCurve(a=2.0, b=0.5, c2=0.1)
+    res = convex_plateau(curve)
+    assert res.expr._layout.mode == "single_shallow"
+    assert res.claimed_cost == pytest.approx(20.0, rel=1e-12)
+
+
 def test_diag_needs_seam_point():
     with pytest.raises(ConstructionError):
         convex_diag(QuadraticCurve(a=1.0, b=2.5, c2=0.5))

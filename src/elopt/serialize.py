@@ -68,7 +68,7 @@ def _curve_params(cls) -> list[str]:
 def surface_to_dict(surface: Surface) -> dict:
     if isinstance(surface, Hyperplane):
         return {"kind": "hyperplane", "c": list(surface.c), "M": surface.M}
-    if _FAMILIES.get(getattr(surface, "family", None)) is not type(surface):
+    if type(surface) not in _FAMILIES.values():
         raise ConfigError(f"unknown surface type {type(surface).__name__}")
     return {
         "kind": "curve",
@@ -145,15 +145,14 @@ def _curve_from(doc, where: str) -> Curve2D:
     return surface
 
 
-def _decode(annotation: str, value, op: str):
-    # Field annotations are strings (postponed evaluation in elopt.exprs).
-    if annotation == "ELExpr":
-        return expr_from_dict(value)
-    if annotation == "Curve2D":
-        return _curve_from(value, op)
-    if annotation == "float":
-        return float(value)
-    return tuple(float(v) for v in value)
+# How a node field is read back, keyed by its annotation (a string, as
+# elopt.exprs postpones the evaluation of annotations); called as (value, op).
+_READERS = {
+    "ELExpr": lambda value, op: expr_from_dict(value),
+    "Curve2D": _curve_from,
+    "float": lambda value, op: float(value),
+    "tuple[float, ...]": lambda value, op: tuple(float(v) for v in value),
+}
 
 
 def expr_from_dict(doc: dict) -> ELExpr:
@@ -166,7 +165,7 @@ def expr_from_dict(doc: dict) -> ELExpr:
             raise ConfigError(f"unknown expression op {op!r}")
         fields = dataclasses.fields(cls)
         values = _take(doc, ["op"] + [f.name for f in fields], {}, f"{op} node")
-        return cls(*(_decode(f.type, values[f.name], op) for f in fields))
+        return cls(*(_READERS[f.type](values[f.name], op) for f in fields))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

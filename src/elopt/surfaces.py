@@ -410,8 +410,7 @@ class HyperbolaCurve(Curve2D):
 
     Always strictly convex.  The parameters must also satisfy
     ``alpha(0) = b``, which forces ``t = s * b / a``; ``validate`` reports a
-    violated intercept otherwise.  :func:`hyperbola_through` derives ``t``
-    from ``s``.
+    violated intercept otherwise.
     """
 
     a: float
@@ -444,14 +443,6 @@ class HyperbolaCurve(Curve2D):
     def alpha_second(self, x):
         d = np.asarray(x, dtype=float) + self.s
         return 2.0 * self.kappa / (d * d * d)
-
-
-def hyperbola_through(a: float, b: float, s: float) -> HyperbolaCurve:
-    """Hyperbolic arc with intercepts ``(a, 0)`` and ``(0, b)`` and offset ``s``."""
-    a = _require_positive("a", a)
-    b = _require_positive("b", b)
-    s = _require_positive("s", s)
-    return HyperbolaCurve(a=a, b=b, s=s, t=s * b / a)
 
 
 Surface = Union[Hyperplane, Curve2D]

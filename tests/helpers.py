@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from elopt import eval_at
+from elopt import HyperbolaCurve, eval_at
 
 # Worked quadratic arcs used throughout: unit intercepts with curvature +-0.5.
 QC_PARAMS = dict(a=1.0, b=1.0, c2=0.5)       # alpha = 1 - 1.5 x + 0.5 x^2
@@ -70,6 +70,18 @@ def qcc_step_reference(x, y):
     if y >= QCC_TY:
         return x + min(y, qcc_alpha(x))
     return x + y
+
+
+def hyperbola_through(a, b, s):
+    """Hyperbolic arc with intercepts ``(a, 0)`` and ``(0, b)`` and offset ``s`` (so ``t = s b / a``)."""
+    return HyperbolaCurve(a=a, b=b, s=s, t=s * b / a)
+
+
+def csv_rows_reference(columns):
+    """CSV text of ``columns`` formatted one field at a time, ``repr(float(v))`` per value."""
+    return "".join(
+        ",".join(repr(float(v)) for v in fields) + "\n" for fields in zip(*columns)
+    )
 
 
 def fd_one_sided(expr, point, h):

@@ -16,11 +16,10 @@ from elopt import (
     convex_plateau,
     cost,
     gap_report,
-    hyperbola_through,
     linear_opt,
     normal_ratio_bound,
 )
-from helpers import sup_ratio_sampled
+from helpers import hyperbola_through, sup_ratio_sampled
 
 
 def test_truncated_linear_passes_the_suite():

@@ -14,12 +14,11 @@ from elopt import (
     convex_plateau,
     cost,
     eval_at,
-    hyperbola_through,
     linear_opt,
     linear_opt_curve,
     normal_ratio_bound,
 )
-from helpers import QC_TX, QC_TY
+from helpers import QC_TX, QC_TY, hyperbola_through
 
 
 def test_linear_opt_worked_examples():

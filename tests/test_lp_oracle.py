@@ -23,7 +23,7 @@ from elopt import (
     solve_lp,
 )
 from elopt.lp_oracle import ROW_TOL
-from helpers import simplex_min_geq
+from helpers import hyperbola_through, simplex_min_geq
 
 
 @pytest.fixture
@@ -255,8 +255,6 @@ def test_hyperplane_crossings_fill_the_diagonal(h11, h12):
 
 
 def test_tiny_grid_warns_when_no_crossing_fits():
-    from elopt import hyperbola_through
-
     # near-L-shaped arc: every crossing lands in the outermost cells
     curve = hyperbola_through(1.0, 1.0, 1e-3)
     assert curve.validate().valid

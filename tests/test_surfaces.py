@@ -10,9 +10,8 @@ from elopt import (
     LineCurve,
     QuadraticCurve,
     bisect_decreasing,
-    hyperbola_through,
 )
-from helpers import qc_beta, qcc_beta
+from helpers import hyperbola_through, qc_beta, qcc_beta
 
 
 def test_quadratic_linear_coefficient_fixed_by_intercepts(qc, qcc):

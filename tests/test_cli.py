@@ -3,9 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from elopt import convex_plateau, eval_at, linear_opt
-from elopt.cli import main
-from elopt.serialize import dumps, expr_from_dict, expr_to_dict
+from elopt import (
+    Hyperplane,
+    construct,
+    convex_plateau,
+    eval_at,
+    linear_opt,
+    one_sided_partials,
+)
+from elopt.cli import _CSV_BLOCK_ROWS, _write_csv_rows, main
+from elopt.serialize import dumps, expr_from_dict, expr_to_dict, surface_from_dict
+from helpers import csv_rows_reference
 
 QC_SURFACE = {
     "kind": "curve",
@@ -16,7 +24,13 @@ QC_SURFACE = {
     "params": {"c2": 0.5},
 }
 
+QCC_SURFACE = dict(QC_SURFACE, shape="strictly_concave", params={"c2": -0.375})
+
+LINE_SURFACE = {"kind": "curve", "family": "line", "a": 2.0, "b": 1.0, "params": {}}
+
 H12_SURFACE = {"kind": "hyperplane", "c": [1.0, 2.0], "M": 1.0}
+
+CSV_HEADER = "x,y,f,fx_left,fx_right,fy_left,fy_right\n"
 
 
 def write_config(tmp_path, surface, **extra):
@@ -150,6 +164,51 @@ def test_sample_csv_contract(tmp_path, capsys):
     blob = (out / "sample.csv").read_bytes()
     assert main(["--config", cfg, "--out", str(out), "--grid", "8", "sample"]) == 0
     assert blob == (out / "sample.csv").read_bytes()
+
+
+# (surface, construction) for every construction kind; H(1,2) auto builds a Scale.
+SAMPLE_CASES = {
+    "convex_diag": (QC_SURFACE, "convex_diag"),
+    "convex_plateau": (QC_SURFACE, "convex_plateau"),
+    "concave_step": (QCC_SURFACE, "concave_step"),
+    "linear_opt": (LINE_SURFACE, "linear_opt"),
+    "hyperplane_scale": (H12_SURFACE, "auto"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_sample_csv_matches_per_field_repr(tmp_path, case):
+    surface_doc, construction = SAMPLE_CASES[case]
+    cfg = write_config(tmp_path, surface_doc, construction=construction)
+    out = tmp_path / "plots"
+    assert main(["--config", cfg, "--out", str(out), "--grid", "64", "sample"]) == 0
+
+    surface = surface_from_dict(surface_doc)
+    expr = construct(surface, construction).expr
+    box = surface.intercepts() if isinstance(surface, Hyperplane) else (surface.a, surface.b)
+    xs, ys = (np.linspace(0.0, 1.25 * side, 65) for side in box)
+    points = np.column_stack([np.repeat(xs, 65), np.tile(ys, 65)])
+    grad = one_sided_partials(expr, points)
+    columns = [points[:, 0], points[:, 1], eval_at(expr, points),
+               grad.left[:, 0], grad.right[:, 0], grad.left[:, 1], grad.right[:, 1]]
+    expected = CSV_HEADER + csv_rows_reference(columns)
+    assert (out / "sample.csv").read_bytes() == expected.encode()
+
+
+def test_csv_writer_keeps_every_bit_pattern_apart(tmp_path):
+    rows = 2 * _CSV_BLOCK_ROWS + 3  # two full blocks and a short one
+    special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 1e300])
+    rng = np.random.default_rng(3)
+    distinct = rng.standard_normal(rows)
+    assert np.unique(distinct).size == rows
+    table = np.column_stack([np.resize(special, rows), distinct])
+    columns = [table[:, 0], table[:, 1], np.resize(special[::-1], rows), np.zeros(rows),
+               np.full(rows, -0.0), np.repeat(rng.uniform(0.0, 2.0, 7), rows // 7 + 1)[:rows],
+               np.full(rows, np.nan)]
+    path = tmp_path / "rows.csv"
+    with path.open("w", newline="\n") as stream:
+        _write_csv_rows(stream, columns)
+    assert path.read_bytes() == csv_rows_reference(columns).encode()
 
 
 def test_seed_and_samples_overrides(tmp_path, capsys):

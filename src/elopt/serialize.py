@@ -179,6 +179,8 @@ def to_jsonable(obj: Any) -> Any:
         for field in dataclasses.fields(obj):
             out[field.name] = to_jsonable(getattr(obj, field.name))
         return out
+    if obj is None or isinstance(obj, (str, bool)):
+        return obj  # before the int branch: bool is an int
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
         if math.isnan(value):
@@ -194,8 +196,6 @@ def to_jsonable(obj: Any) -> Any:
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if obj is None or isinstance(obj, (str, bool)):
-        return obj
     return repr(obj)
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from elopt import (
     Hyperplane,
+    check_el,
+    check_feasible,
     construct,
     convex_plateau,
     eval_at,
@@ -209,6 +211,16 @@ def test_csv_writer_keeps_every_bit_pattern_apart(tmp_path):
     with path.open("w", newline="\n") as stream:
         _write_csv_rows(stream, columns)
     assert path.read_bytes() == csv_rows_reference(columns).encode()
+
+
+def test_json_reports_keep_booleans(h12):
+    expr = linear_opt(h12).expr
+    el = json.loads(dumps(check_el(expr, (1.5, 0.75), samples=200, seed=0)))
+    assert el["passed"] is True
+    assert all(prop["passed"] is True for prop in el["properties"])
+    feas = json.loads(dumps(check_feasible(expr, h12, samples=50, seed=0)))
+    assert feas["feasible"] is True
+    assert json.loads(dumps(h12.validate()))["valid"] is True
 
 
 def test_seed_and_samples_overrides(tmp_path, capsys):

@@ -452,15 +452,13 @@ def check_feasible(
     margin from its boundary (the jump requirement applies to points with
     all coordinates positive).  Feasible means every jump >= 1 - 1e-6.
     """
+    if expr.dim != surface.dim:
+        raise DomainError(f"expression has dim {expr.dim}, surface has dim {surface.dim}")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if isinstance(surface, Hyperplane):
-        if expr.dim != surface.dim:
-            raise DomainError("expression and surface dimensions differ")
         margin = margin_frac
         points = _sample_hyperplane_inner(surface, samples, gen, margin_frac)
     else:
-        if expr.dim != 2:
-            raise DomainError("curve surfaces are two-dimensional")
         margin = margin_frac * surface.a
         points = _sample_curve_inner(surface, samples, gen, margin)
     grad = one_sided_partials(expr, points)
@@ -532,8 +530,6 @@ def gap_report(
     if grid_m is not None:
         ms = [int(grid_m)] if isinstance(grid_m, (int, np.integer)) else [int(m) for m in grid_m]
         if ms:
-            if isinstance(surface, Hyperplane) and surface.dim != 2:
-                raise DomainError("the grid LP supports two-dimensional surfaces only")
             from .lp_oracle import build_lp, solve_lp
 
             lp_values = tuple((m, float(solve_lp(build_lp(surface, m)).value)) for m in ms)

@@ -60,7 +60,14 @@ from .analysis import (
     normal_ratio_bound,
 )
 from .constructions import CONSTRUCTION_NAMES, ConstructionResult, construct, convex_diag
-from .errors import ConfigError, ConstructionError, EloptError, ShapeError, SolverError
+from .errors import (
+    ConfigError,
+    ConstructionError,
+    EloptError,
+    ShapeError,
+    SolverError,
+    UnboundedRangeError,
+)
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
 from .lp_oracle import build_lp, dump_lp, solve_lp
 from .serialize import dumps, expr_from_dict, expr_to_dict, surface_from_dict
@@ -81,6 +88,12 @@ class _Job:
     construction: str
     out: Path
     fmt: str
+
+
+def _count(name: str, value, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _load_job(args) -> _Job:
@@ -105,22 +118,18 @@ def _load_job(args) -> _Job:
     construction = doc.get("construction", "auto")
     if construction not in CONSTRUCTION_NAMES:
         raise ConfigError(f"unknown construction {construction!r}")
-    grid = doc.get("grid", [16, 32])
-    if args.grid is not None:
-        grid = args.grid
-    try:
-        grid = tuple(int(m) for m in grid)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid must be a list of integers: {exc}") from exc
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
-    samples = int(args.samples if args.samples is not None else doc.get("samples", DEFAULT_PAIR_SAMPLES))
-    surface_samples = int(doc.get("surface_samples", DEFAULT_SURFACE_SAMPLES))
+    grid = args.grid if args.grid is not None else doc.get("grid", [16, 32])
+    if not isinstance(grid, list):
+        raise ConfigError(f"grid must be a list of integers, got {grid!r}")
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    samples = args.samples if args.samples is not None else doc.get("samples", DEFAULT_PAIR_SAMPLES)
+    surface_samples = doc.get("surface_samples", DEFAULT_SURFACE_SAMPLES)
     return _Job(
         surface=surface,
-        seed=seed,
-        samples=samples,
-        surface_samples=surface_samples,
-        grid=grid,
+        seed=_count("seed", seed, 0),
+        samples=_count("samples", samples, 0),
+        surface_samples=_count("surface_samples", surface_samples, 1),
+        grid=tuple(_count("grid entry", m, 1) for m in grid),
         construction=construction,
         out=Path(args.out),
         fmt=args.format,
@@ -135,9 +144,7 @@ def _emit(job: _Job, obj, text_lines: list[str]) -> None:
 
 
 def _box(surface: Surface) -> tuple[float, ...]:
-    if isinstance(surface, Hyperplane):
-        return tuple(1.5 * v for v in surface.intercepts())
-    return (1.5 * surface.a, 1.5 * surface.b)
+    return tuple(1.5 * v for v in surface.intercepts())
 
 
 def _build_constructions(job: _Job) -> list[ConstructionResult]:
@@ -158,7 +165,7 @@ def _build_constructions(job: _Job) -> list[ConstructionResult]:
 def _total_or_none(expr: ELExpr) -> Optional[float]:
     try:
         return cost_total(expr)
-    except EloptError:
+    except UnboundedRangeError:
         return None
 
 
@@ -269,8 +276,7 @@ def _cmd_lp(job: _Job, args) -> int:
 
 
 def _cmd_report(job: _Job, args) -> int:
-    two_dim = not isinstance(job.surface, Hyperplane) or job.surface.dim == 2
-    report = gap_report(job.surface, grid_m=job.grid if two_dim else None)
+    report = gap_report(job.surface, grid_m=job.grid if job.surface.dim == 2 else None)
     job.out.mkdir(parents=True, exist_ok=True)
     path = job.out / "report.json"
     path.write_text(dumps(report))
@@ -313,12 +319,9 @@ def _cmd_sample(job: _Job, args) -> int:
     expr = _load_expr(job, args.expr)
     if expr.dim != 2:
         raise ConfigError("sample emits 2-D plot data; the expression must have dim 2")
-    if isinstance(job.surface, Hyperplane):
-        if job.surface.dim != 2:
-            raise ConfigError("sample needs a two-dimensional surface")
-        box_x, box_y = job.surface.intercepts()
-    else:
-        box_x, box_y = job.surface.a, job.surface.b
+    if job.surface.dim != 2:
+        raise ConfigError("sample needs a two-dimensional surface")
+    box_x, box_y = job.surface.intercepts()
     resolution = job.grid[0] if job.grid else 32
     xs = np.linspace(0.0, 1.25 * box_x, resolution + 1)
     ys = np.linspace(0.0, 1.25 * box_y, resolution + 1)

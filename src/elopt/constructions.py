@@ -86,7 +86,7 @@ def _verify_fallback(expr: ELExpr, curve: Curve2D, kind: str) -> None:
     # Imported here to avoid a module cycle: analysis consumes constructions.
     from .analysis import check_el, check_feasible
 
-    box = (1.5 * curve.a, 1.5 * curve.b)
+    box = tuple(1.5 * v for v in curve.intercepts())
     el = check_el(expr, box, samples=_FALLBACK_EL_SAMPLES, seed=_FALLBACK_SEED)
     if not el.passed:
         failed = ", ".join(p.name for p in el.properties if not p.passed)
@@ -128,14 +128,10 @@ def convex_plateau(curve: Curve2D) -> ConstructionResult:
     """
     _require_valid(curve, SHAPE_CONVEX)
     expr = ConvexPlateau(curve)
-    mode = expr._layout.mode
-    if mode == "full":
-        claimed = max(-curve.alpha_prime(0.0), -curve.beta_prime(0.0))
-    elif mode == "single_shallow":
-        claimed = max(1.0, -curve.beta_prime(0.0))
-    else:
-        claimed = max(-curve.alpha_prime(0.0), 1.0)
-    if mode != "full":
+    # Without a seam point the slopes lie on one side of 1, and -beta'(0) is
+    # 1/(-alpha'(a)), so this max is also the cost of either fallback.
+    claimed = max(-curve.alpha_prime(0.0), -curve.beta_prime(0.0))
+    if curve.t_point() is None:
         _verify_fallback(expr, curve, "convex_plateau")
     return _finish(expr, float(claimed), 1.0, "convex_plateau")
 
@@ -165,17 +161,10 @@ def concave_construct(curve: Curve2D) -> ConstructionResult:
     suite-verified.
     """
     _require_valid(curve, SHAPE_CONCAVE)
-    inner = ConcaveStep(curve)
-    mode = inner._layout.mode
-    if mode == "full":
-        min_jump = min(-curve.alpha_prime(0.0), -curve.beta_prime(0.0))
-    elif mode == "single_steep":
-        min_jump = min(1.0, -curve.beta_prime(0.0))
-    else:
-        min_jump = min(1.0, -curve.alpha_prime(0.0))
-    k = 1.0 / float(min_jump)
-    expr = Scale(k, inner)
-    if mode != "full":
+    # As in convex_plateau, the min also picks the fallbacks' smallest jump.
+    k = 1.0 / float(min(-curve.alpha_prime(0.0), -curve.beta_prime(0.0)))
+    expr = Scale(k, ConcaveStep(curve))
+    if curve.t_point() is None:
         _verify_fallback(expr, curve, "concave_construct")
     return _finish(expr, k, k, "concave_construct")
 

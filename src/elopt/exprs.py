@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ShapeError, UnboundedRangeError
-from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, Curve2D
+from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, Curve2D, TPoint
 
 __all__ = [
     "ELExpr",
@@ -353,11 +353,20 @@ class _CurveConstruction(ELExpr):
     A node classifies points into pieces (``_classify``) and lists each
     piece's value and partials in ``_PASSES`` (see :func:`_group_pieces`);
     pieces missing from the table sit on the plateau, with zero partials.
+    ``_layout`` picks between the seam layout and the single-branch
+    fallbacks; a node supplies only its plateau values for each.
     """
 
     curve: Curve2D
 
     _required_shape = ""
+    # Single-branch fallbacks as (mode, plateau of the curve), in the order
+    # tried when the curve has no seam point.
+    _FALLBACKS: tuple = ()
+    _NO_SEAM = "curve has no point with normal (1, 1) yet its slope range straddles 1"
+    # Pieces of the full layout below the seam, then (on or above, below the
+    # curve) on the strip x >= t_x and on the strip y >= t_y.
+    _SEAM_PIECES: tuple = ()
 
     def __post_init__(self) -> None:
         if self.curve.shape != self._required_shape:
@@ -370,6 +379,21 @@ class _CurveConstruction(ELExpr):
     @property
     def dim(self) -> int:
         return 2
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        t = self.curve.t_point()
+        if t is not None:
+            return _Layout("full", t.t_x, t.t_y, self._seam_plateau(t))
+        s_lo, s_hi = self.curve.slope_range()
+        fits = {"single_shallow": s_hi <= 1.0, "single_steep": s_lo >= 1.0}
+        for mode, plateau in self._FALLBACKS:
+            if fits[mode]:
+                return _Layout(mode, math.nan, math.nan, plateau(self.curve))
+        raise ConstructionError(self._NO_SEAM)
+
+    def _seam_plateau(self, t: TPoint) -> float:
+        return t.t_x + t.t_y
 
     def _sup(self) -> float:
         return self._layout.plateau
@@ -403,6 +427,24 @@ class _CurveConstruction(ELExpr):
 
     def _classify(self, x, y, sx: int, sy: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _classify_seam(self, x, y, sx: int, sy: int) -> np.ndarray:
+        """Full layout: flat past both seam coordinates, each strip split at the curve."""
+        inner, x_strip, y_strip = self._SEAM_PIECES
+        lay = self._layout
+        cx = _cmp(x, lay.t_x, sx)
+        cy = _cmp(y, lay.t_y, sy)
+        piece = np.full(x.shape, inner, dtype=np.int8)
+        piece[(cx >= 0) & (cy >= 0)] = _FLAT
+        xs = (cx >= 0) & (cy < 0)
+        if np.any(xs):
+            t = _cmp(x[xs], self.curve.beta(y[xs]), sx if sx != 0 else sy)
+            piece[xs] = np.where(t >= 0, *x_strip)
+        ys = (cx < 0) & (cy >= 0)
+        if np.any(ys):
+            u = _cmp(y[ys], self.curve.alpha(x[ys]), sy if sy != 0 else sx)
+            piece[ys] = np.where(u >= 0, *y_strip)
+        return piece
 
     def _eval(self, column: int, piece, x, y) -> np.ndarray:
         """Column 0 (value), 1 (d/dx) or 2 (d/dy) of the piece table at classified points."""
@@ -457,39 +499,17 @@ class ConvexPlateau(_CurveConstruction):
             _neg_beta_prime,
         ),
     })
+    _FALLBACKS = (("single_shallow", lambda c: c.a), ("single_steep", lambda c: c.b))
+    _SEAM_PIECES = (_INNER, (_FLAT, _XSTRIP), (_FLAT, _YSTRIP))
 
-    @cached_property
-    def _layout(self) -> _Layout:
-        t = self.curve.t_point()
-        if t is not None:
-            plateau = (self.curve.a - t.t_x) + (self.curve.b - t.t_y)
-            return _Layout("full", t.t_x, t.t_y, plateau)
-        s_lo, s_hi = self.curve.slope_range()
-        if s_hi <= 1.0:
-            return _Layout("single_shallow", math.nan, math.nan, self.curve.a)
-        if s_lo >= 1.0:
-            return _Layout("single_steep", math.nan, math.nan, self.curve.b)
-        raise ConstructionError(
-            "curve has no point with normal (1, 1) yet its slope range straddles 1"
-        )
+    def _seam_plateau(self, t: TPoint) -> float:
+        return (self.curve.a - t.t_x) + (self.curve.b - t.t_y)
 
     def _classify(self, x, y, sx, sy):
-        lay = self._layout
-        if lay.mode == "full":
-            cx = _cmp(x, lay.t_x, sx)
-            cy = _cmp(y, lay.t_y, sy)
-            piece = np.full(x.shape, _INNER, dtype=np.int8)
-            piece[(cx >= 0) & (cy >= 0)] = _FLAT
-            xs = (cx >= 0) & (cy < 0)
-            if np.any(xs):
-                t = _cmp(x[xs], self.curve.beta(y[xs]), sx if sx != 0 else sy)
-                piece[xs] = np.where(t >= 0, _FLAT, _XSTRIP)
-            ys = (cx < 0) & (cy >= 0)
-            if np.any(ys):
-                u = _cmp(y[ys], self.curve.alpha(x[ys]), sy if sy != 0 else sx)
-                piece[ys] = np.where(u >= 0, _FLAT, _YSTRIP)
-            return piece
-        if lay.mode == "single_shallow":
+        mode = self._layout.mode
+        if mode == "full":
+            return self._classify_seam(x, y, sx, sy)
+        if mode == "single_shallow":
             return np.where(self._strip_classify(x, y, sx, sy, True), _FLAT, _XSTRIP).astype(np.int8)
         return np.where(self._strip_classify(y, x, sy, sx, False), _FLAT, _YSTRIP).astype(np.int8)
 
@@ -513,15 +533,7 @@ class ConvexDiag(_CurveConstruction):
         _YSTRIP: (lambda f, x, y: f._layout.plateau + x - f._beta_cl(y), 1.0, _neg_beta_prime),
         _SUM: (_x_plus_y, 1.0, 1.0),
     })
-
-    @cached_property
-    def _layout(self) -> _Layout:
-        t = self.curve.t_point()
-        if t is None:
-            raise ConstructionError(
-                "ConvexDiag needs both diagonal branches: the curve has no point with normal (1, 1)"
-            )
-        return _Layout("full", t.t_x, t.t_y, t.t_x + t.t_y)
+    _NO_SEAM = "ConvexDiag needs both diagonal branches: the curve has no point with normal (1, 1)"
 
     def _classify(self, x, y, sx, sy):
         lay = self._layout
@@ -567,20 +579,8 @@ class ConcaveStep(_CurveConstruction):
         _XUP: (lambda f, x, y: y + f._beta_lin(y), 0.0, lambda f, y: 1.0 + f._beta_prime_cl(y)),
         _YUP: (lambda f, x, y: x + f._alpha_lin(x), lambda f, x: 1.0 + f._alpha_prime_cl(x), 0.0),
     })
-
-    @cached_property
-    def _layout(self) -> _Layout:
-        t = self.curve.t_point()
-        if t is not None:
-            return _Layout("full", t.t_x, t.t_y, t.t_x + t.t_y)
-        s_lo, s_hi = self.curve.slope_range()
-        if s_lo >= 1.0:
-            return _Layout("single_steep", math.nan, math.nan, math.nan)
-        if s_hi <= 1.0:
-            return _Layout("single_shallow", math.nan, math.nan, math.nan)
-        raise ConstructionError(
-            "curve has no point with normal (1, 1) yet its slope range straddles 1"
-        )
+    _FALLBACKS = (("single_steep", lambda c: math.nan), ("single_shallow", lambda c: math.nan))
+    _SEAM_PIECES = (_SUM, (_XUP, _SUM), (_YUP, _SUM))
 
     def _sup(self) -> float:
         lay = self._layout
@@ -602,22 +602,10 @@ class ConcaveStep(_CurveConstruction):
         return np.where(over <= 0.0, self._alpha_cl(x), self.curve.alpha_prime(self.curve.a) * over)
 
     def _classify(self, x, y, sx, sy):
-        lay = self._layout
-        if lay.mode == "full":
-            cx = _cmp(x, lay.t_x, sx)
-            cy = _cmp(y, lay.t_y, sy)
-            piece = np.full(x.shape, _SUM, dtype=np.int8)
-            piece[(cx >= 0) & (cy >= 0)] = _FLAT
-            xs = (cx >= 0) & (cy < 0)
-            if np.any(xs):
-                t = _cmp(x[xs], self.curve.beta(y[xs]), sx if sx != 0 else sy)
-                piece[xs] = np.where(t >= 0, _XUP, _SUM)
-            ys = (cx < 0) & (cy >= 0)
-            if np.any(ys):
-                u = _cmp(y[ys], self.curve.alpha(x[ys]), sy if sy != 0 else sx)
-                piece[ys] = np.where(u >= 0, _YUP, _SUM)
-            return piece
-        if lay.mode == "single_steep":
+        mode = self._layout.mode
+        if mode == "full":
+            return self._classify_seam(x, y, sx, sy)
+        if mode == "single_steep":
             # The linear continuation keeps beta' nonzero everywhere, so a
             # tie is always resolvable from either coordinate.
             t = _cmp(x, self._beta_lin(y), sx if sx != 0 else sy)

@@ -111,12 +111,9 @@ class RestrictionReport:
 
 
 def _crossing_fns(surface: Surface):
-    """Per-direction crossing coordinate of the surface on a grid line, plus the box."""
+    """Per-direction crossing coordinate of the surface on a grid line."""
     if isinstance(surface, Hyperplane):
-        if surface.dim != 2:
-            raise DomainError("the grid LP supports two-dimensional surfaces only")
         c1, c2 = surface.c
-        box_x, box_y = surface.M / c1, surface.M / c2
 
         def cross_x(y: float) -> float:
             return (surface.M - c2 * y) / c1
@@ -124,7 +121,7 @@ def _crossing_fns(surface: Surface):
         def cross_y(x: float) -> float:
             return (surface.M - c1 * x) / c2
 
-        return box_x, box_y, cross_x, cross_y
+        return cross_x, cross_y
     curve: Curve2D = surface
 
     def cross_x(y: float) -> float:
@@ -133,21 +130,24 @@ def _crossing_fns(surface: Surface):
     def cross_y(x: float) -> float:
         return float(curve.alpha(min(x, curve.a)))
 
-    return curve.a, curve.b, cross_x, cross_y
+    return cross_x, cross_y
 
 
 def build_lp(surface: Surface, m: int) -> GridLP:
     """Assemble the grid LP for a validated 2-D surface."""
+    if surface.dim != 2:
+        raise DomainError("the grid LP supports two-dimensional surfaces only")
+    if m < 4:
+        raise DomainError(f"need m >= 4, got {m}")
+    if m > M_CAP:
+        raise DomainError(f"m = {m} above the cap {M_CAP} (9.4k variables)")
     import scipy.sparse as sp
 
-    if m < 4:
-        raise ValueError(f"need m >= 4, got {m}")
-    if m > M_CAP:
-        raise ValueError(f"m = {m} above the cap {M_CAP} (9.4k variables)")
     report = surface.validate()
     if not report.valid:
         raise ValueError(f"surface failed validation: {'; '.join(report.violations)}")
-    box_x, box_y, cross_x, cross_y = _crossing_fns(surface)
+    box_x, box_y = surface.intercepts()
+    cross_x, cross_y = _crossing_fns(surface)
     n_grid = m + 1
     h_x = box_x / m
     h_y = box_y / m

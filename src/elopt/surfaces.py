@@ -180,6 +180,7 @@ class Curve2D:
     shape: str
 
     family = "abstract"
+    dim = 2
 
     # -- closed forms supplied by subclasses --------------------------------
 
@@ -199,6 +200,10 @@ class Curve2D:
         raise NotImplementedError
 
     # -- shared surface interface -------------------------------------------
+
+    def intercepts(self) -> tuple[float, float]:
+        """Where the curve meets the axes: ``(a, b)``."""
+        return (self.a, self.b)
 
     def _snap(self, raw, arg, at_zero, at_end, end):
         arr = np.asarray(arg, dtype=float)
@@ -263,15 +268,6 @@ class Curve2D:
         if not 0.0 < x < self.a:
             raise DomainError(f"normal requested at x={x}, outside (0, {self.a})")
         return np.array([-float(self.alpha_prime(x)), 1.0])
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (2,):
-            return False
-        x, y = float(p[0]), float(p[1])
-        if not 0.0 <= x <= self.a:
-            return False
-        return abs(y - float(self.alpha(x))) <= tol * max(1.0, self.b)
 
     def validate(self) -> SurfaceValidationReport:
         violations: list[str] = []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from elopt import (
-    Hyperplane,
     check_el,
     check_feasible,
     construct,
@@ -73,6 +72,28 @@ def test_config_errors_exit_2(tmp_path):
     no_schema = tmp_path / "ns.json"
     no_schema.write_text(json.dumps({"surface": QC_SURFACE}))
     assert main(["--config", str(no_schema), "validate"]) == 2
+
+
+# Out-of-range or mistyped numbers: (config entries, argv after --config/--out).
+BAD_NUMBERS = {
+    "grid_negative_sample": ({}, ["--grid=-3", "sample"]),
+    "grid_negative_lp": ({}, ["--grid=-3", "lp"]),
+    "grid_below_lp_minimum_report": ({}, ["--grid=2", "report"]),
+    "grid_above_cap_lp": ({}, ["--grid=200", "lp"]),
+    "seed_negative": ({"seed": -1}, ["check"]),
+    "seed_not_integer": ({"seed": "x"}, ["check"]),
+    "samples_negative": ({"samples": -3}, ["check"]),
+    "surface_samples_zero": ({"surface_samples": 0}, ["check"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_numbers_exit_2_with_one_line(tmp_path, capsys, case):
+    extra, argv = BAD_NUMBERS[case]
+    cfg = write_config(tmp_path, H12_SURFACE, **extra)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: ", "error: ")) and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_bound_output(tmp_path, capsys):
@@ -187,8 +208,7 @@ def test_sample_csv_matches_per_field_repr(tmp_path, case):
 
     surface = surface_from_dict(surface_doc)
     expr = construct(surface, construction).expr
-    box = surface.intercepts() if isinstance(surface, Hyperplane) else (surface.a, surface.b)
-    xs, ys = (np.linspace(0.0, 1.25 * side, 65) for side in box)
+    xs, ys = (np.linspace(0.0, 1.25 * side, 65) for side in surface.intercepts())
     points = np.column_stack([np.repeat(xs, 65), np.tile(ys, 65)])
     grad = one_sided_partials(expr, points)
     columns = [points[:, 0], points[:, 1], eval_at(expr, points),

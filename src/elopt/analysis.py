@@ -454,6 +454,8 @@ def check_feasible(
     """
     if expr.dim != surface.dim:
         raise DomainError(f"expression has dim {expr.dim}, surface has dim {surface.dim}")
+    if samples < 1:
+        raise DomainError(f"check_feasible needs at least one sample, got {samples}")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if isinstance(surface, Hyperplane):
         margin = margin_frac

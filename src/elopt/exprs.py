@@ -96,9 +96,27 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     return batch, scalar
 
 
-def _cmp(v, w, side, tol: float = _TIE_TOL):
-    """Three-way compare with ties (|v - w| <= tol) resolved by ``side``."""
-    return np.where(v < np.asarray(w) - tol, -1, np.where(v > np.asarray(w) + tol, 1, side))
+def _on_or_above(v, w):
+    """``side -> mask`` of ``v`` on or above ``w``; a tie (``|v - w| <= tol``) counts as on or above unless ``side < 0``."""
+    up, down = ~(v < w - _TIE_TOL), v > w + _TIE_TOL
+    return lambda side: down if side < 0 else up
+
+
+def _select(default, *cases):
+    """Piece codes (int8): the code of the one mask of ``cases`` that holds, else ``default``."""
+    out = np.full(cases[0][0].shape, default, dtype=np.int8)
+    for mask, code in cases:
+        out += mask.view(np.int8) * np.int8(code - default)
+    return out
+
+
+def _tie_test(u, level):
+    """``(sx, sy) -> mask`` of ``u`` on or above ``level``, a tie going towards the queried side.
+
+    A queried side moves along one axis at most, so ``sx or sy`` is its sign.
+    """
+    above = _on_or_above(u, level)
+    return lambda sx, sy: above(sx or sy)
 
 
 class _Layout(NamedTuple):
@@ -355,6 +373,13 @@ class _CurveConstruction(ELExpr):
     pieces missing from the table sit on the plateau, with zero partials.
     ``_layout`` picks between the seam layout and the single-branch
     fallbacks; a node supplies only its plateau values for each.
+
+    Each batch is classified once: the comparisons against the seam
+    coordinates and against the curve do not depend on the queried side, so
+    they are made once per call, and each side (``(0, 0)`` for values, the
+    four one-sided ones for partials) is resolved from those shared masks.
+    The tie rule is the same for every side: within ``_TIE_TOL`` of a
+    boundary a point belongs to the region on the queried side of it.
     """
 
     curve: Curve2D
@@ -363,6 +388,8 @@ class _CurveConstruction(ELExpr):
     # Single-branch fallbacks as (mode, plateau of the curve), in the order
     # tried when the curve has no seam point.
     _FALLBACKS: tuple = ()
+    # The fallback mode that keeps the strip x >= t_x (the other keeps y >= t_y).
+    _X_STRIP_FALLBACK = ""
     _NO_SEAM = "curve has no point with normal (1, 1) yet its slope range straddles 1"
     # Pieces of the full layout below the seam, then (on or above, below the
     # curve) on the strip x >= t_x and on the strip y >= t_y.
@@ -413,37 +440,75 @@ class _CurveConstruction(ELExpr):
     def _beta_prime_cl(self, y):
         return self.curve.beta_prime(np.minimum(y, self.curve.b))
 
-    def _strip_classify(self, u, v, su, sv, inverse: bool) -> np.ndarray:
-        """Whether ``u`` lies on or above the clamped curve at ``v``, ties towards the queried side.
+    def _clamped_test(self, x, y, along_x: bool):
+        """``(sx, sy) -> mask`` of the point on or above the curve clamped into its range.
 
-        ``inverse`` compares ``u = x`` with ``beta(v)``, otherwise ``u = y`` is
-        compared with ``alpha(v)``.  Beyond the intercept the clamped curve is
-        constant, so a tie there cannot be resolved by moving ``v``.
+        Along x, ``x`` is compared with ``beta(min(y, b))``; along y, ``y``
+        with ``alpha(min(x, a))``.  Past the intercept the clamped curve is
+        the axis, constant in the other coordinate, so a tie there takes only
+        the side queried along the compared axis.
         """
-        end, curve_cl = (self.curve.b, self._beta_cl) if inverse else (self.curve.a, self._alpha_cl)
-        cv = _cmp(v, end, sv)
-        level = np.where(cv >= 0, 0.0, curve_cl(v))
-        return _cmp(u, level, su if su != 0 else np.where(cv < 0, sv, 0)) >= 0
+        if along_x:
+            u, v, end, level = x, y, self.curve.b, self._beta_cl
+        else:
+            u, v, end, level = y, x, self.curve.a, self._alpha_cl
+        past_end = _on_or_above(v, end)
+        on_curve = _on_or_above(u, level(v))
+        on_axis = _on_or_above(u, 0.0)
 
-    def _classify(self, x, y, sx: int, sy: int) -> np.ndarray:
+        def above(sx, sy):
+            su, sv = (sx, sy) if along_x else (sy, sx)
+            past = past_end(sv)
+            return (past & on_axis(su)) | (~past & on_curve(su or sv))
+
+        return above
+
+    def _strip_test(self, x, y, x_strip: bool):
+        """Seam layout: ``(sx, sy) -> mask`` of the strip points (x >= t_x or y >= t_y) on or above the curve."""
+        return _tie_test(x, self.curve.beta(y)) if x_strip else _tie_test(y, self.curve.alpha(x))
+
+    def _single_test(self, x, y, along_x: bool):
+        """Single-branch layout: ``(sx, sy) -> mask`` of the points on or above the curve."""
         raise NotImplementedError
 
-    def _classify_seam(self, x, y, sx: int, sy: int) -> np.ndarray:
-        """Full layout: flat past both seam coordinates, each strip split at the curve."""
-        inner, x_strip, y_strip = self._SEAM_PIECES
+    def _classify(self, x, y):
+        """``(sx, sy) -> piece codes`` of the batch, ties resolved towards the queried side."""
         lay = self._layout
-        cx = _cmp(x, lay.t_x, sx)
-        cy = _cmp(y, lay.t_y, sy)
-        piece = np.full(x.shape, inner, dtype=np.int8)
-        piece[(cx >= 0) & (cy >= 0)] = _FLAT
-        xs = (cx >= 0) & (cy < 0)
-        if np.any(xs):
-            t = _cmp(x[xs], self.curve.beta(y[xs]), sx if sx != 0 else sy)
-            piece[xs] = np.where(t >= 0, *x_strip)
-        ys = (cx < 0) & (cy >= 0)
-        if np.any(ys):
-            u = _cmp(y[ys], self.curve.alpha(x[ys]), sy if sy != 0 else sx)
-            piece[ys] = np.where(u >= 0, *y_strip)
+        if lay.mode == "full":
+            return self._classify_seam(x, y)
+        along_x = lay.mode == self._X_STRIP_FALLBACK
+        above = self._single_test(x, y, along_x)
+        on, below = self._SEAM_PIECES[1 if along_x else 2]
+        return lambda sx, sy: _select(below, (above(sx, sy), on))
+
+    def _classify_seam(self, x, y):
+        """Full layout: flat past both seam coordinates, each strip split at the curve."""
+        inner, (x_on, x_below), (y_on, y_below) = self._SEAM_PIECES
+        lay = self._layout
+        past_x = _on_or_above(x, lay.t_x)
+        past_y = _on_or_above(y, lay.t_y)
+        # Points that lie in a strip for some side; the curve is compared there once.
+        in_x = np.flatnonzero(past_x(+1) & ~past_y(-1))
+        in_y = np.flatnonzero(past_y(+1) & ~past_x(-1))
+        x_above = self._strip_test(x[in_x], y[in_x], True)
+        y_above = self._strip_test(x[in_y], y[in_y], False)
+
+        def piece(sx, sy):
+            px, py = past_x(sx), past_y(sy)
+            ax = np.zeros(x.shape, dtype=bool)
+            ax[in_x] = x_above(sx, sy)
+            ay = np.zeros(x.shape, dtype=bool)
+            ay[in_y] = y_above(sx, sy)
+            xs, ys = px & ~py, py & ~px
+            return _select(
+                inner,
+                (px & py, _FLAT),
+                (xs & ax, x_on),
+                (xs & ~ax, x_below),
+                (ys & ay, y_on),
+                (ys & ~ay, y_below),
+            )
+
         return piece
 
     def _eval(self, column: int, piece, x, y) -> np.ndarray:
@@ -454,20 +519,22 @@ class _CurveConstruction(ELExpr):
             m = piece == codes[0]
             for code in codes[1:]:
                 m |= piece == code
-            if np.any(m):
-                out[m] = formula(self, *(c[m] for c in coords)) if callable(formula) else formula
+            at = np.flatnonzero(m)
+            if at.size:
+                out[at] = formula(self, *(c[at] for c in coords)) if callable(formula) else formula
         return out
 
     def _values(self, X):
         x, y = X[:, 0], X[:, 1]
-        return self._eval(0, self._classify(x, y, 0, 0), x, y)
+        return self._eval(0, self._classify(x, y)(0, 0), x, y)
 
     def _partials(self, X):
         x, y = X[:, 0], X[:, 1]
-        left_x = self._eval(1, self._classify(x, y, -1, 0), x, y)
-        right_x = self._eval(1, self._classify(x, y, +1, 0), x, y)
-        left_y = self._eval(2, self._classify(x, y, 0, -1), x, y)
-        right_y = self._eval(2, self._classify(x, y, 0, +1), x, y)
+        piece = self._classify(x, y)
+        left_x = self._eval(1, piece(-1, 0), x, y)
+        right_x = self._eval(1, piece(+1, 0), x, y)
+        left_y = self._eval(2, piece(0, -1), x, y)
+        right_y = self._eval(2, piece(0, +1), x, y)
         return np.stack([left_x, left_y], axis=1), np.stack([right_x, right_y], axis=1)
 
 
@@ -500,18 +567,14 @@ class ConvexPlateau(_CurveConstruction):
         ),
     })
     _FALLBACKS = (("single_shallow", lambda c: c.a), ("single_steep", lambda c: c.b))
+    _X_STRIP_FALLBACK = "single_shallow"
     _SEAM_PIECES = (_INNER, (_FLAT, _XSTRIP), (_FLAT, _YSTRIP))
 
     def _seam_plateau(self, t: TPoint) -> float:
         return (self.curve.a - t.t_x) + (self.curve.b - t.t_y)
 
-    def _classify(self, x, y, sx, sy):
-        mode = self._layout.mode
-        if mode == "full":
-            return self._classify_seam(x, y, sx, sy)
-        if mode == "single_shallow":
-            return np.where(self._strip_classify(x, y, sx, sy, True), _FLAT, _XSTRIP).astype(np.int8)
-        return np.where(self._strip_classify(y, x, sy, sx, False), _FLAT, _YSTRIP).astype(np.int8)
+    def _single_test(self, x, y, along_x):
+        return self._clamped_test(x, y, along_x)
 
 
 @dataclass(frozen=True)
@@ -534,22 +597,12 @@ class ConvexDiag(_CurveConstruction):
         _SUM: (_x_plus_y, 1.0, 1.0),
     })
     _NO_SEAM = "ConvexDiag needs both diagonal branches: the curve has no point with normal (1, 1)"
+    _SEAM_PIECES = (_SUM, (_FLAT, _XSTRIP), (_FLAT, _YSTRIP))
 
-    def _classify(self, x, y, sx, sy):
-        lay = self._layout
-        cx = _cmp(x, lay.t_x, sx)
-        cy = _cmp(y, lay.t_y, sy)
-        piece = np.full(x.shape, _SUM, dtype=np.int8)
-        piece[(cx >= 0) & (cy >= 0)] = _FLAT
-        xs = (cx >= 0) & (cy < 0)
-        if np.any(xs):
-            above = self._strip_classify(y[xs], x[xs], sy, sx, False)
-            piece[xs] = np.where(above, _FLAT, _XSTRIP)
-        ys = (cx < 0) & (cy >= 0)
-        if np.any(ys):
-            above = self._strip_classify(x[ys], y[ys], sx, sy, True)
-            piece[ys] = np.where(above, _FLAT, _YSTRIP)
-        return piece
+    def _strip_test(self, x, y, x_strip):
+        # The strip x >= t_x splits where y crosses the clamped alpha(x),
+        # the strip y >= t_y where x crosses the clamped beta(y).
+        return self._clamped_test(x, y, not x_strip)
 
 
 @dataclass(frozen=True)
@@ -580,6 +633,7 @@ class ConcaveStep(_CurveConstruction):
         _YUP: (lambda f, x, y: x + f._alpha_lin(x), lambda f, x: 1.0 + f._alpha_prime_cl(x), 0.0),
     })
     _FALLBACKS = (("single_steep", lambda c: math.nan), ("single_shallow", lambda c: math.nan))
+    _X_STRIP_FALLBACK = "single_steep"
     _SEAM_PIECES = (_SUM, (_XUP, _SUM), (_YUP, _SUM))
 
     def _sup(self) -> float:
@@ -601,17 +655,10 @@ class ConcaveStep(_CurveConstruction):
         over = x - self.curve.a
         return np.where(over <= 0.0, self._alpha_cl(x), self.curve.alpha_prime(self.curve.a) * over)
 
-    def _classify(self, x, y, sx, sy):
-        mode = self._layout.mode
-        if mode == "full":
-            return self._classify_seam(x, y, sx, sy)
-        if mode == "single_steep":
-            # The linear continuation keeps beta' nonzero everywhere, so a
-            # tie is always resolvable from either coordinate.
-            t = _cmp(x, self._beta_lin(y), sx if sx != 0 else sy)
-            return np.where(t >= 0, _XUP, _SUM).astype(np.int8)
-        u = _cmp(y, self._alpha_lin(x), sy if sy != 0 else sx)
-        return np.where(u >= 0, _YUP, _SUM).astype(np.int8)
+    def _single_test(self, x, y, along_x):
+        # The linear continuation keeps beta' nonzero everywhere, so a tie
+        # is always resolvable from either coordinate.
+        return _tie_test(x, self._beta_lin(y)) if along_x else _tie_test(y, self._alpha_lin(x))
 
 
 def eval_at(expr: ELExpr, x):

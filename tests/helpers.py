@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from elopt import HyperbolaCurve, eval_at
+from elopt import ConcaveStep, ConvexDiag, ConvexPlateau, HyperbolaCurve, eval_at, one_sided_partials
+from elopt.exprs import _FLAT, _INNER, _SUM, _XSTRIP, _XUP, _YSTRIP, _YUP
 
 # Worked quadratic arcs used throughout: unit intercepts with curvature +-0.5.
 QC_PARAMS = dict(a=1.0, b=1.0, c2=0.5)       # alpha = 1 - 1.5 x + 0.5 x^2
@@ -82,6 +83,114 @@ def csv_rows_reference(columns):
     return "".join(
         ",".join(repr(float(v)) for v in fields) + "\n" for fields in zip(*columns)
     )
+
+
+TIE_TOL = 1e-12
+TIE_OFFSETS = (0.0, 0.5e-12, -0.5e-12, 1e-12, -1e-12, 2e-12, -2e-12)
+
+
+def cmp3(v, w, side):
+    """Three-way compare: -1 below, +1 above, ``side`` on a tie (``|v - w| <= TIE_TOL``)."""
+    w = np.asarray(w)
+    return np.where(v < w - TIE_TOL, -1, np.where(v > w + TIE_TOL, 1, side))
+
+
+def _above_clamped(node, u, v, su, sv, inverse):
+    # u against the curve clamped into its range at v (beta when ``inverse``);
+    # past the intercept the level is 0 and a tie takes only u's side.
+    end, level_of = (node.curve.b, node._beta_cl) if inverse else (node.curve.a, node._alpha_cl)
+    cv = cmp3(v, end, sv)
+    level = np.where(cv >= 0, 0.0, level_of(v))
+    return cmp3(u, level, su if su != 0 else np.where(cv < 0, sv, 0)) >= 0
+
+
+def classify_reference(node, x, y, sx, sy):
+    """Piece codes of a piecewise node for one queried side, by the three-way tie rule.
+
+    Each side is classified on its own, with no masks shared between sides.
+    """
+    lay, curve = node._layout, node.curve
+    if lay.mode == "single_shallow" and isinstance(node, ConvexPlateau):
+        return np.where(_above_clamped(node, x, y, sx, sy, True), _FLAT, _XSTRIP)
+    if lay.mode == "single_steep" and isinstance(node, ConvexPlateau):
+        return np.where(_above_clamped(node, y, x, sy, sx, False), _FLAT, _YSTRIP)
+    if lay.mode == "single_steep":
+        return np.where(cmp3(x, node._beta_lin(y), sx or sy) >= 0, _XUP, _SUM)
+    if lay.mode == "single_shallow":
+        return np.where(cmp3(y, node._alpha_lin(x), sy or sx) >= 0, _YUP, _SUM)
+    cx, cy = cmp3(x, lay.t_x, sx), cmp3(y, lay.t_y, sy)
+    piece = np.full(x.shape, _INNER if isinstance(node, ConvexPlateau) else _SUM)
+    piece[(cx >= 0) & (cy >= 0)] = _FLAT
+    xs, ys = (cx >= 0) & (cy < 0), (cx < 0) & (cy >= 0)
+    if isinstance(node, ConvexDiag):
+        piece[xs] = np.where(_above_clamped(node, y[xs], x[xs], sy, sx, False), _FLAT, _XSTRIP)
+        piece[ys] = np.where(_above_clamped(node, x[ys], y[ys], sx, sy, True), _FLAT, _YSTRIP)
+        return piece
+    x_pieces, y_pieces = {
+        ConvexPlateau: ((_FLAT, _XSTRIP), (_FLAT, _YSTRIP)),
+        ConcaveStep: ((_XUP, _SUM), (_YUP, _SUM)),
+    }[type(node)]
+    piece[xs] = np.where(cmp3(x[xs], curve.beta(y[xs]), sx or sy) >= 0, *x_pieces)
+    piece[ys] = np.where(cmp3(y[ys], curve.alpha(x[ys]), sy or sx) >= 0, *y_pieces)
+    return piece
+
+
+def values_reference(node, X):
+    """``eval_at`` of a piecewise node with the pieces of ``classify_reference``."""
+    x, y = X[:, 0], X[:, 1]
+    return node._eval(0, classify_reference(node, x, y, 0, 0), x, y)
+
+
+def partials_reference(node, X):
+    """``(left, right)`` one-sided partials of a piecewise node with the pieces of ``classify_reference``."""
+    x, y = X[:, 0], X[:, 1]
+    cols = [
+        node._eval(column, classify_reference(node, x, y, sx, sy), x, y)
+        for column, sx, sy in ((1, -1, 0), (2, 0, -1), (1, 1, 0), (2, 0, 1))
+    ]
+    left = np.where(X > 0.0, np.stack(cols[:2], axis=1), np.nan)
+    return left, np.stack(cols[2:], axis=1)
+
+
+def assert_matches_tie_oracle(node, X):
+    """``eval_at`` and ``one_sided_partials`` equal the three-way oracle's bit for bit, NaN included."""
+    assert eval_at(node, X).tobytes() == values_reference(node, X).tobytes()
+    g = one_sided_partials(node, X)
+    left, right = partials_reference(node, X)
+    assert g.left.tobytes() == left.tobytes()
+    assert g.right.tobytes() == right.tobytes()
+
+
+def tie_batch(node, rng, random_points=64):
+    """Points of a piecewise node's box that sit on or within a few ``TIE_TOL`` of its boundaries.
+
+    The seam coordinates and intercepts, each offset by ``TIE_OFFSETS`` and
+    crossed with each other and with random coordinates; points on the curve
+    (``y = alpha(x)`` and ``x = beta(y)``), also offset by ``TIE_OFFSETS``;
+    points past the box; and random points of the 1.5x box.
+    """
+    a, b = node.curve.intercepts()
+    lay = node._layout
+    seam_x = [lay.t_x] if lay.mode == "full" else []
+    seam_y = [lay.t_y] if lay.mode == "full" else []
+    xs = np.array([max(c + d, 0.0) for c in (*seam_x, a, 0.0) for d in TIE_OFFSETS])
+    ys = np.array([max(c + d, 0.0) for c in (*seam_y, b, 0.0) for d in TIE_OFFSETS])
+    rx = rng.uniform(0.0, 1.5 * a, random_points)
+    ry = rng.uniform(0.0, 1.5 * b, random_points)
+    on_x = rng.uniform(0.0, a, random_points)
+    on_y = rng.uniform(0.0, b, random_points)
+    parts = [
+        np.array(np.meshgrid(xs, ys)).reshape(2, -1).T,
+        np.column_stack([np.repeat(xs, 4), rng.uniform(0.0, 1.5 * b, 4 * xs.size)]),
+        np.column_stack([rng.uniform(0.0, 1.5 * a, 4 * ys.size), np.repeat(ys, 4)]),
+        *(np.column_stack([on_x, np.maximum(node.curve.alpha(on_x) + d, 0.0)]) for d in TIE_OFFSETS),
+        *(np.column_stack([np.maximum(node.curve.beta(on_y) + d, 0.0), on_y]) for d in TIE_OFFSETS),
+        np.column_stack([rx + a, ry + b]),
+        np.column_stack([rx + a, ry]),
+        np.column_stack([rx, ry + b]),
+        np.column_stack([rx, ry]),
+    ]
+    return np.concatenate(parts)
 
 
 def fd_one_sided(expr, point, h):

@@ -94,6 +94,14 @@ def test_construction_feasibility(qc, qcc):
     assert rep.feasible
 
 
+def test_check_feasible_needs_a_sample(h12, qc):
+    # An empty sample has no smallest jump: a typed error, not numpy's argmin error.
+    for expr, surface in ((linear_opt(h12).expr, h12), (convex_plateau(qc).expr, qc)):
+        for samples in (0, -1):
+            with pytest.raises(DomainError, match="at least one sample"):
+                check_feasible(expr, surface, samples=samples, seed=0)
+
+
 def test_normal_ratio_bound_hyperplane():
     bound = normal_ratio_bound(Hyperplane(c=(1.0, 4.0), M=2.0))
     assert bound.value == 4.0

@@ -26,13 +26,17 @@ from helpers import (
     QC_PLATEAU,
     QC_TX,
     QC_TY,
+    assert_matches_tie_oracle,
+    classify_reference,
     fd_one_sided,
+    hyperbola_through,
     qc_alpha,
     qc_beta,
     qc_beta_prime,
     qc_diag_reference,
     qc_plateau_reference,
     qcc_step_reference,
+    tie_batch,
 )
 
 
@@ -388,3 +392,38 @@ def test_concave_fallback_shallow_curve():
     assert (g.left[1], g.right[1]) == (1.0, 0.0)
     assert g.left[0] == 1.0
     assert g.right[0] == pytest.approx(1.0 + float(curve.alpha_prime(x)), abs=1e-12)
+
+
+# ------------------------------------------------ tie rule against an oracle
+
+# Every piecewise node in every layout mode it admits (ConvexDiag has no
+# single-branch form).
+ORACLE_CASES = [
+    (ConvexPlateau, QuadraticCurve(a=1.0, b=1.0, c2=0.5), "full"),
+    (ConvexPlateau, hyperbola_through(0.8, 1.7, 0.3), "full"),
+    (ConvexPlateau, QuadraticCurve(a=1.0, b=0.5, c2=0.25), "single_shallow"),
+    (ConvexPlateau, QuadraticCurve(a=1.0, b=2.5, c2=0.5), "single_steep"),
+    (ConvexDiag, QuadraticCurve(a=1.0, b=1.0, c2=0.5), "full"),
+    (ConvexDiag, hyperbola_through(0.8, 1.7, 0.3), "full"),
+    (ConcaveStep, QuadraticCurve(a=1.0, b=1.0, c2=-0.375), "full"),
+    (ConcaveStep, QuadraticCurve(a=0.734, b=1.447, c2=-1.7672675571130532), "full"),
+    (ConcaveStep, QuadraticCurve(a=1.0, b=1.625, c2=-0.375), "single_steep"),
+    (ConcaveStep, QuadraticCurve(a=1.0, b=0.55, c2=-0.25), "single_shallow"),
+]
+
+
+@pytest.mark.parametrize(
+    "node_type, curve, mode", ORACLE_CASES, ids=[f"{t.__name__}-{m}-{i}" for i, (t, _, m) in enumerate(ORACLE_CASES)]
+)
+def test_kernel_matches_three_way_tie_oracle(node_type, curve, mode):
+    node = node_type(curve)
+    assert node._layout.mode == mode
+    X = tie_batch(node, np.random.default_rng(8))
+    # The batch must hold ties that the queried side decides.
+    x, y = X[:, 0], X[:, 1]
+    sides_differ = classify_reference(node, x, y, -1, 0) != classify_reference(node, x, y, 1, 0)
+    sides_differ |= classify_reference(node, x, y, 0, -1) != classify_reference(node, x, y, 0, 1)
+    assert np.any(sides_differ)
+    assert_matches_tie_oracle(node, X)
+    for point in X[::17]:
+        assert_matches_tie_oracle(node, point[None, :])

@@ -1,30 +1,73 @@
 """Derandomized Hypothesis sweeps over the parameters of the surface families."""
 
+import math
+
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from elopt import QuadraticCurve, construct, normal_ratio_bound  # noqa: E402
+from elopt import (  # noqa: E402
+    ConcaveStep,
+    ConvexDiag,
+    ConvexPlateau,
+    SHAPE_CONVEX,
+    SHAPE_LINEAR,
+    HyperbolaCurve,
+    QuadraticCurve,
+    construct,
+    normal_ratio_bound,
+)
+from helpers import assert_matches_tie_oracle, tie_batch  # noqa: E402
 
 
-def test_claims_meet_the_ratio_bound_across_quadratics():
+def _curve_through_end_slopes(family, a, s0, sa):
+    """Curve of ``family`` from ``(0, b)`` to ``(a, 0)`` with end slopes ``-alpha'(0) = s0``, ``-alpha'(a) = sa``."""
+    if family == "quadratic":
+        return QuadraticCurve(a=a, b=a * (s0 + sa) / 2.0, c2=(s0 - sa) / (2.0 * a))
+    # The hyperbola's end slopes multiply to (b/a)^2 and divide to ((a + s)/s)^2.
+    b = a * math.sqrt(s0 * sa)
+    s = a / (math.sqrt(s0 / sa) - 1.0)
+    return HyperbolaCurve(a=a, b=b, s=s, t=s * b / a)
+
+
+def test_claims_meet_the_ratio_bound_and_the_tie_oracle():
     modes = set()
 
     @hypothesis.settings(max_examples=60, derandomize=True, deadline=None, database=None)
-    @hypothesis.given(a=st.floats(0.2, 5.0), log_s0=st.floats(-3.0, 3.0), log_sa=st.floats(-3.0, 3.0))
-    def claim_is_the_bound(a, log_s0, log_sa):
+    @hypothesis.given(
+        family=st.sampled_from(["quadratic", "hyperbola"]),
+        a=st.floats(0.2, 5.0),
+        log_s0=st.floats(-3.0, 3.0),
+        log_sa=st.floats(-3.0, 3.0),
+    )
+    def claim_is_the_bound(family, a, log_s0, log_sa):
         # Drawn through the end slopes s0 = -alpha'(0) and sa = -alpha'(a), so
         # that they fall on the same side of 1 (no seam) about half the time.
+        # A hyperbola is convex: its slope falls from s0 to sa.
         s0, sa = 2.0**log_s0, 2.0**log_sa
-        curve = QuadraticCurve(a=a, b=a * (s0 + sa) / 2.0, c2=(s0 - sa) / (2.0 * a))
-        hypothesis.assume(curve.shape != "linear" and curve.validate().valid)
+        if family == "hyperbola":
+            s0, sa = max(s0, sa), min(s0, sa)
+            hypothesis.assume(s0 > 1.01 * sa)
+        curve = _curve_through_end_slopes(family, a, s0, sa)
+        hypothesis.assume(curve.shape != SHAPE_LINEAR and curve.validate().valid)
         claimed = construct(curve).claimed_cost
         assert claimed == pytest.approx(normal_ratio_bound(curve).value, rel=1e-9, abs=0.0)
-        if curve.t_point() is not None:
-            modes.add("full")
-        else:
-            modes.add("single_shallow" if curve.slope_range()[1] <= 1.0 else "single_steep")
+
+        # The kernel resolves every tie as the three-way oracle does.
+        convex = curve.shape == SHAPE_CONVEX
+        nodes = [ConvexPlateau(curve)] if convex else [ConcaveStep(curve)]
+        if convex and curve.t_point() is not None:
+            nodes.append(ConvexDiag(curve))
+        rng = np.random.default_rng(0)
+        for node in nodes:
+            assert_matches_tie_oracle(node, tie_batch(node, rng, random_points=8))
+            modes.add((family, node._layout.mode))
 
     claim_is_the_bound()
-    assert modes == {"full", "single_shallow", "single_steep"}
+    assert modes == {
+        (family, mode)
+        for family in ("quadratic", "hyperbola")
+        for mode in ("full", "single_shallow", "single_steep")
+    }

@@ -16,13 +16,17 @@ cost between that bound, the grid-LP relaxation of :mod:`elopt.lp_oracle`,
 and the cost of the matching construction.
 
 Sampling is split into independent substreams derived from the master seed
-(one per property), so reports are bit-reproducible and the checks could be
-fanned out across workers without changing the result.
+(one per property), so reports are bit-reproducible.  ``check_el`` fans the
+properties out over a thread pool of up to one worker per available CPU
+(numpy releases the interpreter lock inside its array loops) and collects
+them in a fixed order, so the report does not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -67,6 +71,20 @@ LIMIT_TOL = 1e-6
 
 _FD_POINTS = 256
 _LIMIT_POINTS = 32
+
+# Substream k of the master seed drives property k, whether or not it runs.
+_PROPERTIES = (
+    "pointed",
+    "monotone",
+    "submodular",
+    "dr_coordinate",
+    "dr_general",
+    "directional_concavity",
+    "left_at_least_right",
+    "derivative_monotone",
+    "fd_agreement",
+    "derivative_limits",
+)
 
 
 @dataclass(frozen=True)
@@ -173,8 +191,14 @@ def check_el(
     ``fn`` may be an expression node or a plain callable taking one point;
     the derivative-based checks (left >= right, derivative monotonicity,
     finite-difference agreement, one-sided derivative limits) run only for
-    expression nodes.  Identical seeds give bit-identical reports.
+    expression nodes.  Every property after ``pointed`` is one task with its
+    own generator; the tasks run on up to one thread per available CPU and
+    are reported in the fixed order of ``_PROPERTIES``, so identical seeds
+    give bit-identical reports.  A plain callable must therefore be safe to
+    call from several threads at once.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     box_arr = np.asarray(box, dtype=float)
     if box_arr.ndim != 1 or box_arr.size == 0 or not np.all(box_arr > 0.0):
         raise DomainError("box must be a strictly positive vector")
@@ -184,100 +208,29 @@ def check_el(
         raise DomainError(f"box has dim {n}, expression has dim {fn.dim}")
     value = _value_batch(fn)
 
-    names = [
-        "pointed",
-        "monotone",
-        "submodular",
-        "dr_coordinate",
-        "dr_general",
-        "directional_concavity",
-        "left_at_least_right",
-        "derivative_monotone",
-        "fd_agreement",
-        "derivative_limits",
-    ]
-    seeds = dict(zip(names, np.random.SeedSequence(seed).spawn(len(names))))
-    rng = {name: np.random.Generator(np.random.PCG64(s)) for name, s in seeds.items()}
-    checks: list[PropertyCheck] = []
+    seeds = np.random.SeedSequence(seed).spawn(len(_PROPERTIES))
+    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
     # pointed: f(0) = 0, exactly (the combinators preserve exact zero).
     v0 = float(value(np.zeros((1, n)))[0])
-    checks.append(PropertyCheck("pointed", v0 == 0.0, abs(v0), 0.0, _pt(np.zeros(n)), 1))
+    checks = [PropertyCheck("pointed", v0 == 0.0, abs(v0), 0.0, _pt(np.zeros(n)), 1)]
 
-    def ordered_pair(gen):
-        X = gen.uniform(0.0, box_arr, (samples, n))
-        Y = X + (box_arr - X) * gen.uniform(size=(samples, n))
-        return X, Y
-
-    # monotone: x <= y implies f(x) <= f(y)
-    g = rng["monotone"]
-    X, Y = ordered_pair(g)
-    viol = value(X) - value(Y)
-    checks.append(_worst("monotone", viol, VALUE_TOL, lambda i: (_pt(X[i]), _pt(Y[i]))))
-
-    # submodular: f(x) + f(y) >= f(min) + f(max)
-    g = rng["submodular"]
-    X = g.uniform(0.0, box_arr, (samples, n))
-    Y = g.uniform(0.0, box_arr, (samples, n))
-    lo = np.minimum(X, Y)
-    hi = np.maximum(X, Y)
-    viol = value(lo) + value(hi) - value(X) - value(Y)
-    checks.append(_worst("submodular", viol, VALUE_TOL, lambda i: (_pt(X[i]), _pt(Y[i]))))
-
-    def dr_violation(gen, single_coordinate: bool):
-        X = gen.uniform(0.0, box_arr, (samples, n))
-        coord = gen.integers(0, n, size=samples)
-        rows = np.arange(samples)
-        if single_coordinate:
-            Y = X.copy()
-            Y[rows, coord] += (box_arr[coord] - X[rows, coord]) * gen.uniform(size=samples)
-        else:
-            Y = X + (box_arr - X) * gen.uniform(size=(samples, n))
-        eps = box_arr[coord] * (1e-4 + 0.5 * gen.uniform(size=samples))
-        Xp = X.copy()
-        Xp[rows, coord] += eps
-        Yp = Y.copy()
-        Yp[rows, coord] += eps
-        viol = (value(Yp) - value(Y)) - (value(Xp) - value(X))
-        return viol, X, Y, coord, eps
-
-    # diminishing returns along one coordinate, then for arbitrary ordered pairs
-    viol, X, Y, coord, eps = dr_violation(rng["dr_coordinate"], True)
-    checks.append(
-        _worst(
-            "dr_coordinate",
-            viol,
-            VALUE_TOL,
-            lambda i: (_pt(X[i]), _pt(Y[i]), int(coord[i]), float(eps[i])),
-        )
-    )
-    viol, X, Y, coord, eps = dr_violation(rng["dr_general"], False)
-    checks.append(
-        _worst(
-            "dr_general",
-            viol,
-            VALUE_TOL,
-            lambda i: (_pt(X[i]), _pt(Y[i]), int(coord[i]), float(eps[i])),
-        )
-    )
-
-    # concavity along positive directions
-    g = rng["directional_concavity"]
-    X, Y = ordered_pair(g)
-    lam = g.uniform(size=samples)
-    mid = lam[:, None] * X + (1.0 - lam[:, None]) * Y
-    viol = lam * value(X) + (1.0 - lam) * value(Y) - value(mid)
-    checks.append(
-        _worst(
-            "directional_concavity",
-            viol,
-            VALUE_TOL,
-            lambda i: (_pt(X[i]), _pt(Y[i]), float(lam[i])),
-        )
-    )
-
+    tasks = [
+        partial(_monotone, value, box_arr, samples),
+        partial(_submodular, value, box_arr, samples),
+        partial(_diminishing_returns, "dr_coordinate", True, value, box_arr, samples),
+        partial(_diminishing_returns, "dr_general", False, value, box_arr, samples),
+        partial(_directional_concavity, value, box_arr, samples),
+    ]
     if is_expr:
-        checks.extend(_derivative_checks(fn, box_arr, samples, rng))
+        tasks += [
+            partial(_left_at_least_right, fn, box_arr, samples),
+            partial(_derivative_monotone, fn, box_arr, samples),
+            partial(_fd_check, fn, box_arr),
+            partial(_limit_check, fn, box_arr),
+        ]
+    with ThreadPoolExecutor(max_workers=min(len(tasks), _available_cpus())) as pool:
+        checks += pool.map(lambda task, gen: task(gen), tasks, gens[1:])
 
     return ELReport(
         passed=all(c.passed for c in checks),
@@ -289,43 +242,99 @@ def check_el(
     )
 
 
-def _derivative_checks(expr: ELExpr, box_arr, samples, rng) -> list[PropertyCheck]:
-    n = box_arr.size
-    checks = []
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
-    # left >= right wherever the left derivative exists
-    g = rng["left_at_least_right"]
-    P = g.uniform(0.0, box_arr, (samples, n))
+
+def _ordered_pair(box_arr, samples, gen):
+    X = gen.uniform(0.0, box_arr, (samples, box_arr.size))
+    Y = X + (box_arr - X) * gen.uniform(size=X.shape)
+    return X, Y
+
+
+def _monotone(value, box_arr, samples, gen) -> PropertyCheck:
+    """x <= y implies f(x) <= f(y)."""
+    X, Y = _ordered_pair(box_arr, samples, gen)
+    viol = value(X) - value(Y)
+    return _worst("monotone", viol, VALUE_TOL, lambda i: (_pt(X[i]), _pt(Y[i])))
+
+
+def _submodular(value, box_arr, samples, gen) -> PropertyCheck:
+    """f(x) + f(y) >= f(min(x, y)) + f(max(x, y))."""
+    X = gen.uniform(0.0, box_arr, (samples, box_arr.size))
+    Y = gen.uniform(0.0, box_arr, (samples, box_arr.size))
+    viol = value(np.minimum(X, Y)) + value(np.maximum(X, Y)) - value(X) - value(Y)
+    return _worst("submodular", viol, VALUE_TOL, lambda i: (_pt(X[i]), _pt(Y[i])))
+
+
+def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) -> PropertyCheck:
+    """For x <= y, a step along one coordinate gains no more at y than at x.
+
+    ``single_coordinate`` draws y from x along the stepped coordinate only;
+    otherwise y is an arbitrary point above x.  Sample coordinates are
+    non-negative, so adding the masked ``0.0`` leaves the other columns
+    bit-identical.
+    """
+    n = box_arr.size
+    X = gen.uniform(0.0, box_arr, (samples, n))
+    coord = gen.integers(0, n, size=samples)
+    along = coord[:, None] == np.arange(n)
+    if single_coordinate:
+        x_c = X[np.arange(samples), coord]
+        Y = X + np.where(along, ((box_arr[coord] - x_c) * gen.uniform(size=samples))[:, None], 0.0)
+    else:
+        Y = X + (box_arr - X) * gen.uniform(size=(samples, n))
+    eps = box_arr[coord] * (1e-4 + 0.5 * gen.uniform(size=samples))
+    step = np.where(along, eps[:, None], 0.0)
+    viol = (value(Y + step) - value(Y)) - (value(X + step) - value(X))
+    return _worst(
+        name,
+        viol,
+        VALUE_TOL,
+        lambda i: (_pt(X[i]), _pt(Y[i]), int(coord[i]), float(eps[i])),
+    )
+
+
+def _directional_concavity(value, box_arr, samples, gen) -> PropertyCheck:
+    """Concavity along positive directions."""
+    X, Y = _ordered_pair(box_arr, samples, gen)
+    lam = gen.uniform(size=samples)
+    mid = lam[:, None] * X + (1.0 - lam[:, None]) * Y
+    viol = lam * value(X) + (1.0 - lam) * value(Y) - value(mid)
+    return _worst(
+        "directional_concavity",
+        viol,
+        VALUE_TOL,
+        lambda i: (_pt(X[i]), _pt(Y[i]), float(lam[i])),
+    )
+
+
+def _left_at_least_right(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
+    """Left >= right wherever the left derivative exists."""
+    P = gen.uniform(0.0, box_arr, (samples, box_arr.size))
     grad = one_sided_partials(expr, P)
     gap = np.where(grad.defined_left, grad.right - grad.left, -np.inf)
-    viol = gap.max(axis=1)
-    checks.append(
-        _worst(
-            "left_at_least_right",
-            viol,
-            DERIV_TOL,
-            lambda i: (_pt(P[i]), int(np.argmax(gap[i]))),
-        )
+    return _worst(
+        "left_at_least_right",
+        gap.max(axis=1),
+        DERIV_TOL,
+        lambda i: (_pt(P[i]), int(np.argmax(gap[i]))),
     )
 
-    # right derivatives do not increase along positive directions
-    g = rng["derivative_monotone"]
-    X = g.uniform(0.0, box_arr, (samples, n))
-    Y = X + (box_arr - X) * g.uniform(size=(samples, n))
+
+def _derivative_monotone(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
+    """Right derivatives do not increase along positive directions."""
+    X, Y = _ordered_pair(box_arr, samples, gen)
     diff = one_sided_partials(expr, Y).right - one_sided_partials(expr, X).right
-    viol = diff.max(axis=1)
-    checks.append(
-        _worst(
-            "derivative_monotone",
-            viol,
-            DERIV_TOL,
-            lambda i: (_pt(X[i]), _pt(Y[i]), int(np.argmax(diff[i]))),
-        )
+    return _worst(
+        "derivative_monotone",
+        diff.max(axis=1),
+        DERIV_TOL,
+        lambda i: (_pt(X[i]), _pt(Y[i]), int(np.argmax(diff[i]))),
     )
-
-    checks.append(_fd_check(expr, box_arr, rng["fd_agreement"]))
-    checks.append(_limit_check(expr, box_arr, rng["derivative_limits"]))
-    return checks
 
 
 def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
@@ -444,7 +453,6 @@ def check_feasible(
     surface: Surface,
     samples: int = DEFAULT_SURFACE_SAMPLES,
     seed: int = 0,
-    margin_frac: float = FEASIBLE_MARGIN_FRAC,
 ) -> FeasibilityReport:
     """Smallest sampled derivative jump across the surface.
 
@@ -458,10 +466,10 @@ def check_feasible(
         raise DomainError(f"check_feasible needs at least one sample, got {samples}")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if isinstance(surface, Hyperplane):
-        margin = margin_frac
-        points = _sample_hyperplane_inner(surface, samples, gen, margin_frac)
+        margin = FEASIBLE_MARGIN_FRAC
+        points = _sample_hyperplane_inner(surface, samples, gen, margin)
     else:
-        margin = margin_frac * surface.a
+        margin = FEASIBLE_MARGIN_FRAC * surface.a
         points = _sample_curve_inner(surface, samples, gen, margin)
     grad = one_sided_partials(expr, points)
     jumps = grad.left - grad.right
@@ -512,7 +520,7 @@ def normal_ratio_bound(surface: Surface) -> RatioBound:
 
 def gap_report(
     surface: Surface,
-    grid_m: Union[int, Sequence[int], None] = None,
+    grid_m: Optional[Sequence[int]] = None,
 ) -> BoundReport:
     """Bracket the optimal feasible cost for ``surface``.
 
@@ -530,7 +538,7 @@ def gap_report(
     lp_values = None
     lp_bound = None
     if grid_m is not None:
-        ms = [int(grid_m)] if isinstance(grid_m, (int, np.integer)) else [int(m) for m in grid_m]
+        ms = [int(m) for m in grid_m]
         if ms:
             from .lp_oracle import build_lp, solve_lp
 

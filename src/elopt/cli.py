@@ -311,8 +311,8 @@ def _write_csv_rows(stream, columns: Sequence[np.ndarray]) -> None:
             part = np.asarray(column[start : start + _CSV_BLOCK_ROWS], dtype=np.float64)
             bits, index = np.unique(part.view(np.int64), return_inverse=True)
             strings = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-            block.append(strings[index])
-        stream.writelines(",".join(row) + "\n" for row in zip(*block))
+            block.append(strings[index].tolist())
+        stream.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _cmd_sample(job: _Job, args) -> int:

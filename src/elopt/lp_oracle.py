@@ -314,7 +314,7 @@ def grid_points(lp: GridLP) -> np.ndarray:
     return np.column_stack([np.repeat(xs, n_grid), np.tile(ys, n_grid)])
 
 
-def restriction_check(lp: GridLP, expr: ELExpr, tol: float = ROW_TOL) -> RestrictionReport:
+def restriction_check(lp: GridLP, expr: ELExpr) -> RestrictionReport:
     """Machine check of the soundness argument: a feasible function's grid restriction satisfies every row."""
     f = np.asarray(eval_at(expr, grid_points(lp)), dtype=float)
     n_grid = lp.m + 1
@@ -331,7 +331,7 @@ def restriction_check(lp: GridLP, expr: ELExpr, tol: float = ROW_TOL) -> Restric
     else:
         worst_row = lp.kinds[worst_idx]
     return RestrictionReport(
-        satisfied=worst <= tol,
+        satisfied=worst <= ROW_TOL,
         max_violation=worst,
         worst_row=worst_row,
         objective=float(t),

@@ -78,8 +78,6 @@ def bisect_decreasing(
     lo: float,
     hi: float,
     target: float,
-    tol: float = _BISECT_TOL,
-    max_iter: int = _BISECT_MAX_ITER,
 ) -> float:
     """Solve ``fn(x) = target`` for strictly decreasing ``fn`` on ``[lo, hi]``.
 
@@ -90,8 +88,8 @@ def bisect_decreasing(
     fhi = fn(hi) - target
     if flo < 0.0 or fhi > 0.0:
         raise ValueError("target outside the range of fn on [lo, hi]")
-    for _ in range(max_iter):
-        if hi - lo <= tol:
+    for _ in range(_BISECT_MAX_ITER):
+        if hi - lo <= _BISECT_TOL:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         fm = fn(mid) - target
@@ -101,7 +99,7 @@ def bisect_decreasing(
             hi = mid
         else:
             return mid
-    raise EloptError(f"bisection did not converge within {max_iter} iterations")
+    raise EloptError(f"bisection did not converge within {_BISECT_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)

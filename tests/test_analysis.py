@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from elopt import (
+    ConcaveStep,
     ConvexPlateau,
     DomainError,
     Hyperplane,
@@ -15,29 +19,101 @@ from elopt import (
     convex_diag,
     convex_plateau,
     cost,
+    eval_at,
     gap_report,
     linear_opt,
     normal_ratio_bound,
+    one_sided_partials,
 )
 from helpers import hyperbola_through, sup_ratio_sampled
+
+PROPERTY_ORDER = (
+    "pointed",
+    "monotone",
+    "submodular",
+    "dr_coordinate",
+    "dr_general",
+    "directional_concavity",
+    "left_at_least_right",
+    "derivative_monotone",
+    "fd_agreement",
+    "derivative_limits",
+)
 
 
 def test_truncated_linear_passes_the_suite():
     rep = check_el(TruncateMin(1.0, Linear((1.0, 2.0))), (2.0, 2.0), samples=10_000, seed=0)
     assert rep.passed
     assert rep.includes_derivative_checks
-    assert {p.name for p in rep.properties} == {
-        "pointed",
-        "monotone",
-        "submodular",
-        "dr_coordinate",
-        "dr_general",
-        "directional_concavity",
-        "left_at_least_right",
-        "derivative_monotone",
-        "fd_agreement",
-        "derivative_limits",
-    }
+    assert {p.name for p in rep.properties} == set(PROPERTY_ORDER)
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a, dtype=np.float64)
+    return repr(a.shape).encode() + a.tobytes()
+
+
+def _run_all(exprs, points):
+    """check_el reports and eval_at / one_sided_partials bytes for every expression."""
+    out = []
+    for expr in exprs:
+        rep = check_el(expr, (1.25, 1.25), samples=3000, seed=7)
+        grad = one_sided_partials(expr, points)
+        out.append(
+            (
+                repr(rep),
+                tuple(p.name for p in rep.properties),
+                _bits(eval_at(expr, points)),
+                _bits(grad.left),
+                _bits(grad.right),
+                grad.defined_left.tobytes(),
+            )
+        )
+    return out
+
+
+def test_concurrent_evaluation_matches_plain_calls(qc, qcc):
+    """Shared expressions give the same bytes on four threads at once as in a plain call.
+
+    ``check_el`` runs its properties on a thread pool of its own, so four
+    concurrent callers put several times more threads than cores on the same
+    expression objects, whose cached layouts are first computed under that
+    contention.
+    """
+
+    def make():
+        return (
+            ConvexPlateau(qc),
+            ConcaveStep(qcc),
+            Scale(0.5, TruncateMin(1.0, Linear((1.0, 2.0)))),
+        )
+
+    shared = make()
+    points = np.random.default_rng(11).uniform(0.0, 1.25, (2000, 2))
+    n_threads = 4
+    start = threading.Barrier(n_threads, timeout=30)
+    results = [None] * n_threads
+
+    def worker(k):
+        start.wait()
+        results[k] = _run_all(shared, points)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+    reference = _run_all(make(), points)
+    assert all(ref[1] == PROPERTY_ORDER for ref in reference)
+    for got in results:
+        assert got == reference
 
 
 def test_zero_function_passes():
@@ -164,7 +240,7 @@ def test_gap_report_rejects_lp_for_higher_dimensions():
     plane = Hyperplane(c=(1.0, 2.0, 3.0), M=1.0)
     assert gap_report(plane).construction_cost == pytest.approx(3.0)
     with pytest.raises(DomainError):
-        gap_report(plane, grid_m=8)
+        gap_report(plane, grid_m=[8])
 
 
 def test_check_el_input_validation(qc):

@@ -25,6 +25,7 @@ them in a fixed order, so the report does not depend on the worker count.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
@@ -197,8 +198,6 @@ def check_el(
     give bit-identical reports.  A plain callable must therefore be safe to
     call from several threads at once.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     box_arr = np.asarray(box, dtype=float)
     if box_arr.ndim != 1 or box_arr.size == 0 or not np.all(box_arr > 0.0):
         raise DomainError("box must be a strictly positive vector")
@@ -229,8 +228,7 @@ def check_el(
             partial(_fd_check, fn, box_arr),
             partial(_limit_check, fn, box_arr),
         ]
-    with ThreadPoolExecutor(max_workers=min(len(tasks), _available_cpus())) as pool:
-        checks += pool.map(lambda task, gen: task(gen), tasks, gens[1:])
+    checks += _run_tasks(tasks, gens[1:])
 
     return ELReport(
         passed=all(c.passed for c in checks),
@@ -240,6 +238,33 @@ def check_el(
         box=tuple(float(v) for v in box_arr),
         includes_derivative_checks=is_expr,
     )
+
+
+def _run_tasks(tasks, gens) -> list:
+    """``task(gen)`` for each pair on ``min(tasks, CPUs)`` threads, results in task order.
+
+    Every task runs; then the first exception in task order is re-raised.
+    """
+    results = [None] * len(tasks)
+    errors = [None] * len(tasks)
+    pending = iter(range(len(tasks)))  # next() on a shared range iterator is atomic
+
+    def work():
+        for i in pending:
+            try:
+                results[i] = tasks[i](gens[i])
+            except BaseException as exc:  # re-raised below, in task order
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(min(len(tasks), _available_cpus()))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _available_cpus() -> int:

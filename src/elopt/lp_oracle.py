@@ -40,19 +40,28 @@ feasible (the restriction of any feasible function is a witness; with no
 crossing rows the zero function already satisfies everything) and bounded
 below by 0, so a deterministic solve returns a finite optimum.
 
-The solve is delegated to the interior-point method of HiGHS via
-``scipy.optimize.linprog``, followed by crossover to an optimal vertex with
-basic duals; both phases are deterministic and single-threaded.  ``m`` is
-capped at 96 (about 9.4k variables) to keep desk-scale runtimes.
-Independent instances (an ``m`` sweep) are safe to run in parallel since all
-inputs are immutable.  scipy is imported on first build or solve only.
+The solve is delegated to the interior-point method of HiGHS, followed by
+crossover to an optimal vertex with basic duals; both phases are
+deterministic and single-threaded.  scipy only ships the HiGHS extension:
+:func:`solve_lp` loads ``scipy/optimize/_highspy/_core`` by file path on the
+first solve and imports no scipy Python package.  HiGHS gets the model and
+options that ``linprog(method="highs-ipm")`` would pass it, so values, grids
+and iteration counts are those of that call.  ``m`` is capped at 96 (about
+9.4k variables) to keep desk-scale runtimes.  Independent instances (an
+``m`` sweep) are safe to run in parallel since all inputs are immutable.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+import threading
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
@@ -86,11 +95,24 @@ class GridLP:
     h_x: float
     h_y: float
     n_vars: int
-    geq: sp.csr_matrix          # rows: geq @ z >= geq_rhs
+    # rows geq @ z >= geq_rhs in CSR form, columns ascending within each row
+    geq_indptr: np.ndarray
+    geq_indices: np.ndarray
+    geq_data: np.ndarray
     geq_rhs: np.ndarray
     kinds: tuple[str, ...]
     crossing_rows: int
     surface: str
+
+    @cached_property
+    def geq(self) -> sp.csr_matrix:
+        """The rows as a scipy.sparse matrix; imports scipy.sparse on first access."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(
+            (self.geq_data, self.geq_indices, self.geq_indptr),
+            shape=(self.geq_rhs.size, self.n_vars),
+        )
 
 
 @dataclass(frozen=True)
@@ -141,8 +163,6 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         raise DomainError(f"need m >= 4, got {m}")
     if m > M_CAP:
         raise DomainError(f"m = {m} above the cap {M_CAP} (9.4k variables)")
-    import scipy.sparse as sp
-
     report = surface.validate()
     if not report.valid:
         raise ValueError(f"surface failed validation: {'; '.join(report.violations)}")
@@ -242,16 +262,19 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         [np.array([t_col]), np.array([vid(0, 1)])], [h_y, -1.0], np.array([0.0]), ["obj_y"]
     )
 
-    geq = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(counter, n_vars),
-    ).tocsr()
+    row_ids = np.concatenate(rows)
+    col_ids = np.concatenate(cols)
+    order = np.lexsort((col_ids, row_ids))
+    indptr = np.zeros(counter + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row_ids, minlength=counter), out=indptr[1:])
     return GridLP(
         m=m,
         h_x=h_x,
         h_y=h_y,
         n_vars=n_vars,
-        geq=geq,
+        geq_indptr=indptr,
+        geq_indices=col_ids[order].astype(np.int32),
+        geq_data=np.concatenate(vals)[order],
         geq_rhs=np.concatenate(rhs),
         kinds=tuple(kinds),
         crossing_rows=crossings,
@@ -259,46 +282,124 @@ def build_lp(surface: Surface, m: int) -> GridLP:
     )
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()
+# linprog's check of a reported optimum: bounds and rows hold to sqrt(1e-9) * 10
+_OPTIMUM_TOL = math.sqrt(1e-9) * 10
+
+
+def _highs():
+    """scipy's bundled HiGHS extension, loaded by file path without importing scipy."""
+    with _HIGHS_LOCK:
+        core = sys.modules.get(_HIGHS_MODULE)
+        if core is not None:
+            return core
+        spec = importlib.util.find_spec("scipy")
+        if spec is None or not spec.submodule_search_locations:
+            raise SolverError("scipy is not installed; the LP solve needs its HiGHS extension")
+        base = Path(spec.submodule_search_locations[0], "optimize", "_highspy")
+        candidates = [base / f"_core{sfx}" for sfx in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in candidates if p.is_file()), None)
+        if path is None:
+            looked = ", ".join(map(str, candidates))
+            raise SolverError(f"scipy's HiGHS extension not found; looked for {looked}")
+        core_spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+        core = importlib.util.module_from_spec(core_spec)
+        sys.modules[_HIGHS_MODULE] = core
+        try:
+            core_spec.loader.exec_module(core)
+        except BaseException:
+            del sys.modules[_HIGHS_MODULE]
+            raise
+        return core
+
+
 def solve_lp(lp: GridLP) -> LPSolution:
     """Deterministic solve; infeasible/unbounded are reported in the status field.
 
-    (Neither can occur for a correctly built LP: the zero function satisfies
-    everything but crossings, feasible restrictions satisfy those too, and
-    the objective is bounded below by 0.)
+    HiGHS receives ``min t`` subject to ``-geq @ z <= -geq_rhs`` and then
+    ``f(0,0) = 0`` as the last row, ``z >= 0``, column-wise, with presolve
+    on, the IPM solver, the dual simplex strategy and output off: the model
+    and options of ``linprog(method="highs-ipm")``.  (Infeasible and
+    unbounded cannot occur for a correctly built LP: the zero function
+    satisfies everything but crossings, feasible restrictions satisfy those
+    too, and the objective is bounded below by 0.)
     """
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
-
+    core = _highs()
+    n_rows = lp.geq_rhs.size
     n_grid = lp.m + 1
+
+    rows = np.repeat(np.arange(n_rows + 1, dtype=np.int32), np.append(np.diff(lp.geq_indptr), 1))
+    cols = np.append(lp.geq_indices, np.int32(0))
+    order = np.argsort(cols, kind="stable")
+    start = np.zeros(lp.n_vars + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=lp.n_vars), out=start[1:])
     objective = np.zeros(lp.n_vars)
     objective[-1] = 1.0
-    a_eq = sp.csr_matrix(
-        (np.array([1.0]), (np.array([0]), np.array([0]))), shape=(1, lp.n_vars)
+    row_upper = np.append(-lp.geq_rhs, 0.0)
+
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
+    model.num_row_ = model.a_matrix_.num_row_ = n_rows + 1
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = rows[order]
+    model.a_matrix_.value_ = np.append(-lp.geq_data, 1.0)[order]
+    model.col_cost_ = objective
+    model.col_lower_ = np.zeros(lp.n_vars)
+    model.col_upper_ = np.full(lp.n_vars, core.kHighsInf)
+    model.row_lower_ = np.append(np.full(n_rows, -core.kHighsInf), 0.0)
+    model.row_upper_ = row_upper
+
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.solver = "ipm"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    highs = core._Highs()
+    if (
+        highs.passOptions(options) == core.HighsStatus.kError
+        or highs.passModel(model) == core.HighsStatus.kError
+    ):
+        raise SolverError("HiGHS rejected the LP model or its options")
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = int(
+        (info.simplex_iteration_count or info.ipm_iteration_count) + info.crossover_iteration_count
     )
-    res = linprog(
-        objective,
-        A_ub=-lp.geq,
-        b_ub=-lp.geq_rhs,
-        A_eq=a_eq,
-        b_eq=np.array([0.0]),
-        bounds=(0.0, None),
-        method="highs-ipm",
-    )
-    iterations = int(res.nit + res.crossover_nit)
-    if res.status in (1, 4):
-        raise SolverError(f"LP solve failed: {res.message}")
-    if res.status != 0:
-        status = "infeasible" if res.status == 2 else "unbounded"
+    outcome = {
+        core.HighsModelStatus.kOptimal: "optimal",
+        core.HighsModelStatus.kInfeasible: "infeasible",
+        core.HighsModelStatus.kUnbounded: "unbounded",
+    }.get(status)
+    if outcome is None:
+        raise SolverError(f"LP solve failed: {highs.modelStatusToString(status)}")
+    if outcome != "optimal":
         return LPSolution(
             value=math.nan,
             t=math.nan,
             grid=np.full((n_grid, n_grid), math.nan),
-            status=status,
+            status=outcome,
             iterations=iterations,
         )
-    x = np.asarray(res.x)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    value = float(info.objective_function_value)
+    slack = row_upper - np.array(solution.row_value)
+    if not (
+        np.all(x >= -_OPTIMUM_TOL)
+        and np.all(slack[:-1] >= -_OPTIMUM_TOL)
+        and abs(slack[-1]) <= _OPTIMUM_TOL
+        and not math.isnan(value)
+    ):
+        raise SolverError(
+            f"LP solve failed: the reported optimum violates the model by more than {_OPTIMUM_TOL:.2E}"
+        )
     return LPSolution(
-        value=float(res.fun),
+        value=value,
         t=float(x[-1]),
         grid=x[:-1].reshape(n_grid, n_grid),
         status="optimal",
@@ -358,11 +459,11 @@ def dump_lp(lp: GridLP, stream: TextIO) -> None:
     stream.write(f"\\ grid LP lower bound ({lp.surface}), m = {lp.m}\n")
     stream.write("Minimize\n obj: t\nSubject To\n")
     stream.write(" point_origin: f_0_0 = 0\n")
-    csr = lp.geq
-    for row in range(csr.shape[0]):
-        start, end = csr.indptr[row], csr.indptr[row + 1]
+    indptr, indices, data = (a.tolist() for a in (lp.geq_indptr, lp.geq_indices, lp.geq_data))
+    for row in range(lp.geq_rhs.size):
+        start, end = indptr[row], indptr[row + 1]
         terms = []
-        for col, val in zip(csr.indices[start:end], csr.data[start:end]):
+        for col, val in zip(indices[start:end], data[start:end]):
             sign = "+" if val >= 0 else "-"
             terms.append(f"{sign} {_fmt(abs(val))} {var_name(col)}")
         label = lp.kinds[row].replace("[", "_").replace("]", "").replace(",", "_").replace("=", "")

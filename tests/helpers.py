@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library code paths they check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,20 @@ def qcc_step_reference(x, y):
 def hyperbola_through(a, b, s):
     """Hyperbolic arc with intercepts ``(a, 0)`` and ``(0, b)`` and offset ``s`` (so ``t = s b / a``)."""
     return HyperbolaCurve(a=a, b=b, s=s, t=s * b / a)
+
+
+def with_rows(lp, geq, geq_rhs, kinds, **changes):
+    """``lp`` with its rows replaced by the scipy.sparse matrix ``geq`` and the matching ``geq_rhs`` and ``kinds``."""
+    geq = geq.tocsr()
+    return dataclasses.replace(
+        lp,
+        geq_indptr=geq.indptr,
+        geq_indices=geq.indices,
+        geq_data=geq.data,
+        geq_rhs=geq_rhs,
+        kinds=kinds,
+        **changes,
+    )
 
 
 def csv_rows_reference(columns):

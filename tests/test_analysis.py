@@ -116,6 +116,25 @@ def test_concurrent_evaluation_matches_plain_calls(qc, qcc):
         assert got == reference
 
 
+def test_property_task_exception_propagates(monkeypatch):
+    import elopt.analysis as analysis
+
+    class Boom(Exception):
+        pass
+
+    def failing(name):
+        def task(*args):
+            raise Boom(name)
+
+        return task
+
+    # two tasks fail; the first in property order is the one re-raised
+    monkeypatch.setattr(analysis, "_directional_concavity", failing("directional_concavity"))
+    monkeypatch.setattr(analysis, "_submodular", failing("submodular"))
+    with pytest.raises(Boom, match="^submodular$"):
+        check_el(Linear((1.0, 2.0)), (1.0, 1.0), samples=1000, seed=0)
+
+
 def test_zero_function_passes():
     rep = check_el(Scale(0.0, Linear((3.0, 4.0))), (1.0, 1.0), samples=2000, seed=1)
     assert rep.passed

@@ -1,5 +1,5 @@
-import dataclasses
 import io
+import json
 import os
 import subprocess
 import sys
@@ -23,7 +23,9 @@ from elopt import (
     solve_lp,
 )
 from elopt.lp_oracle import ROW_TOL
-from helpers import hyperbola_through, simplex_min_geq
+from helpers import hyperbola_through, simplex_min_geq, with_rows
+
+GOLDEN_LP = Path(__file__).resolve().parent / "golden_lp"
 
 
 @pytest.fixture
@@ -128,11 +130,11 @@ def _with_all_monotonicity_rows(lp):
         (np.repeat([1.0, -1.0], k), (np.tile(np.arange(k), 2), np.concatenate([up, low]))),
         shape=(k, lp.n_vars),
     )
-    return dataclasses.replace(
+    return with_rows(
         lp,
-        geq=sp.vstack([lp.geq, mono]).tocsr(),
-        geq_rhs=np.concatenate([lp.geq_rhs, np.zeros(k)]),
-        kinds=lp.kinds + ("mono_all",) * k,
+        sp.vstack([lp.geq, mono]),
+        np.concatenate([lp.geq_rhs, np.zeros(k)]),
+        lp.kinds + ("mono_all",) * k,
     )
 
 
@@ -147,7 +149,7 @@ def test_dropped_monotonicity_rows_are_implied(h12, qc):
             assert np.all(np.diff(pruned.grid, axis=1) >= -ROW_TOL)
 
 
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy(tmp_path):
     src = str(Path(elopt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, elopt, elopt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -155,6 +157,42 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+    # the LP commands reach HiGHS through its extension alone
+    config = tmp_path / "config.json"
+    h12 = {"kind": "hyperplane", "c": [1.0, 2.0], "M": 1.0}
+    config.write_text(json.dumps({"schema": 1, "surface": h12}))
+    loaded = tmp_path / "modules.json"
+    probe = (
+        "import json, sys\n"
+        "from elopt.cli import main\n"
+        "common = ['--config', sys.argv[1], '--out', sys.argv[2], '--grid', '8']\n"
+        "assert main(common + ['lp', '--dump-lp']) == 0\n"
+        "assert main(common + ['report']) == 0\n"
+        "open(sys.argv[3], 'w').write(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", probe, str(config), str(tmp_path / "out"), str(loaded)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    core = "scipy.optimize._highspy._core"
+    modules = json.loads(loaded.read_text())
+    assert core in modules
+    assert [m for m in modules if m != core and not m.startswith(core + ".")] == []
+
+
+def test_missing_highs_extension_names_the_path(tmp_path, monkeypatch):
+    import importlib.machinery
+    import importlib.util
+
+    from elopt import SolverError
+
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(SolverError, match=str(tmp_path / "optimize" / "_highspy" / "_core")):
+        solve_lp(build_lp(Hyperplane(c=(1.0, 1.0), M=1.0), 4))
 
 
 def test_restriction_of_constructions_satisfies_every_row(qc, qcc, h12):
@@ -189,37 +227,37 @@ def test_solver_is_deterministic(qc):
     assert a.iterations == b.iterations
 
 
-def test_lp_without_crossing_rows_collapses_to_zero(h11):
-    lp = build_lp(h11, 4)
+def _stripped(lp):
+    """The LP without its crossing rows."""
     keep = [i for i, k in enumerate(lp.kinds) if not k.startswith("cross_")]
-    stripped = dataclasses.replace(
-        lp,
-        geq=lp.geq[keep],
-        geq_rhs=lp.geq_rhs[keep],
-        kinds=tuple(lp.kinds[i] for i in keep),
-        crossing_rows=0,
+    return with_rows(
+        lp, lp.geq[keep], lp.geq_rhs[keep], tuple(lp.kinds[i] for i in keep), crossing_rows=0
     )
-    sol = solve_lp(stripped)
+
+
+def _contradicted(lp):
+    """The LP plus the row f(0,0) >= 1, which contradicts the pointedness equality."""
+    import scipy.sparse as sp
+
+    extra = sp.csr_matrix(
+        (np.array([1.0]), (np.array([0]), np.array([0]))), shape=(1, lp.n_vars)
+    )
+    return with_rows(
+        lp,
+        sp.vstack([lp.geq, extra]),
+        np.concatenate([lp.geq_rhs, [1.0]]),
+        lp.kinds + ("impossible",),
+    )
+
+
+def test_lp_without_crossing_rows_collapses_to_zero(h11):
+    sol = solve_lp(_stripped(build_lp(h11, 4)))
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_infeasible_status_is_reported_not_raised(h11):
-    import numpy as np
-    import scipy.sparse as sp
-
-    lp = build_lp(h11, 4)
-    # contradict the pointedness equality: f(0,0) >= 1
-    extra = sp.csr_matrix(
-        (np.array([1.0]), (np.array([0]), np.array([0]))), shape=(1, lp.n_vars)
-    )
-    broken = dataclasses.replace(
-        lp,
-        geq=sp.vstack([lp.geq, extra]).tocsr(),
-        geq_rhs=np.concatenate([lp.geq_rhs, [1.0]]),
-        kinds=lp.kinds + ("impossible",),
-    )
-    sol = solve_lp(broken)
+    sol = solve_lp(_contradicted(build_lp(h11, 4)))
     assert sol.status == "infeasible"
     assert np.isnan(sol.value)
 
@@ -262,3 +300,59 @@ def test_tiny_grid_warns_when_no_crossing_fits():
         lp = build_lp(curve, 4)
     assert lp.crossing_rows == 0
     assert solve_lp(lp).value == pytest.approx(0.0, abs=1e-12)
+
+
+def _linprog_reference(lp):
+    """The solve as ``scipy.optimize.linprog`` with the arguments solve_lp passed it before."""
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    objective = np.zeros(lp.n_vars)
+    objective[-1] = 1.0
+    a_eq = sp.csr_matrix(
+        (np.array([1.0]), (np.array([0]), np.array([0]))), shape=(1, lp.n_vars)
+    )
+    return linprog(
+        objective,
+        A_ub=-lp.geq,
+        b_ub=-lp.geq_rhs,
+        A_eq=a_eq,
+        b_eq=np.array([0.0]),
+        bounds=(0.0, None),
+        method="highs-ipm",
+    )
+
+
+def test_solve_matches_linprog_bit_for_bit(h11, h12, qc, qcc):
+    lps = [
+        build_lp(surface, m)
+        for surface in (h12, qc, qcc, hyperbola_through(2.0, 0.5, 0.4))
+        for m in (4, 8, 16, 32)
+    ]
+    lps += [_stripped(build_lp(h11, 4)), _contradicted(build_lp(h11, 4))]
+    for lp in lps:
+        sol = solve_lp(lp)
+        ref = _linprog_reference(lp)
+        assert sol.iterations == ref.nit + ref.crossover_nit, lp.surface
+        if ref.status == 2:
+            assert sol.status == "infeasible"
+            continue
+        assert ref.status == 0 and sol.status == "optimal", lp.surface
+        assert sol.value == ref.fun
+        assert sol.t == ref.x[-1]
+        assert sol.grid.tobytes() == ref.x[:-1].tobytes()
+    assert solve_lp(lps[-1]).status == "infeasible"
+
+
+@pytest.mark.parametrize(
+    "name, surface, m",
+    [
+        ("h12_m6", Hyperplane(c=(1.0, 2.0), M=1.0), 6),
+        ("concave_m8", QuadraticCurve(a=1.0, b=1.0, c2=-0.5), 8),
+    ],
+)
+def test_dump_matches_the_pinned_text(name, surface, m):
+    # row order, term order within each row, labels and float reprs
+    stream = io.StringIO()
+    dump_lp(build_lp(surface, m), stream)
+    assert stream.getvalue() == (GOLDEN_LP / f"{name}.lp").read_text()

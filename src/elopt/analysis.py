@@ -17,8 +17,7 @@ and the cost of the matching construction.
 
 Sampling is split into independent substreams derived from the master seed
 (one per property), so reports are bit-reproducible.  ``check_el`` fans the
-properties out over a thread pool of up to one worker per available CPU
-(numpy releases the interpreter lock inside its array loops) and collects
+properties out over up to one thread per available CPU (numpy releases the interpreter lock inside its array loops) and collects
 them in a fixed order, so the report does not depend on the worker count.
 """
 

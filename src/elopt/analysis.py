@@ -34,6 +34,7 @@ import numpy as np
 from .constructions import construct
 from .errors import DomainError, UnboundedRangeError
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
+from .lp_oracle import build_lp, solve_lp
 from .surfaces import Curve2D, Hyperplane, Surface
 
 __all__ = [
@@ -381,31 +382,21 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     viols = []
     witnesses = []
     for i in range(n):
-        step = np.zeros((len(P), n))
-        step[:, i] = h
-        plus = P + step
-        q_right = (eval_at(expr, plus) - base) / h
-        d_right = grad.right[:, i]
-        d_end = one_sided_partials(expr, plus).left[:, i]
-        scale = np.maximum(1.0, np.abs(d_right))
-        smooth = np.abs(d_end - d_right) <= 1e-4 * scale
-        rel = np.abs(q_right - 0.5 * (d_right + d_end)) / scale
-        for row in np.nonzero(smooth)[0]:
-            viols.append(rel[row])
-            witnesses.append((_pt(P[row]), i, "right"))
-
-        can_left = P[:, i] >= h
-        minus = P - step
-        minus[~can_left] = P[~can_left]
-        q_left = (base - eval_at(expr, minus)) / h
-        d_left = grad.left[:, i]
-        back = one_sided_partials(expr, np.maximum(minus, 0.0)).right[:, i]
-        scale = np.maximum(1.0, np.abs(d_left))
-        smooth = can_left & (np.abs(back - d_left) <= 1e-4 * scale)
-        rel = np.abs(q_left - 0.5 * (d_left + back)) / scale
-        for row in np.nonzero(smooth)[0]:
-            viols.append(rel[row])
-            witnesses.append((_pt(P[row]), i, "left"))
+        # the derivative on this side at P against the other side's at the step's end
+        for side, far, sign in (("right", "left", 1.0), ("left", "right", -1.0)):
+            Q = P.copy()
+            Q[:, i] += sign * h
+            usable = Q[:, i] >= 0.0  # a left step must stay in the orthant
+            Q[~usable] = P[~usable]
+            q = sign * (eval_at(expr, Q) - base) / h
+            d_near = getattr(grad, side)[:, i]
+            d_end = getattr(one_sided_partials(expr, Q), far)[:, i]
+            scale = np.maximum(1.0, np.abs(d_near))
+            smooth = usable & (np.abs(d_end - d_near) <= 1e-4 * scale)
+            rel = np.abs(q - 0.5 * (d_near + d_end)) / scale
+            for row in np.nonzero(smooth)[0]:
+                viols.append(rel[row])
+                witnesses.append((_pt(P[row]), i, side))
     return _worst("fd_agreement", viols, FD_REL_TOL, lambda i: witnesses[i])
 
 
@@ -426,36 +417,28 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     n = box_arr.size
     P = gen.uniform(0.0, box_arr, (_LIMIT_POINTS, n))
     grad = one_sided_partials(expr, P)
-    eps_ladder = np.asarray(LIMIT_EPS)
     viols = []
     witnesses = []
     for i in range(n):
-        seq_plus = []
-        for eps in eps_ladder:
-            Q = P.copy()
-            Q[:, i] += eps
-            seq_plus.append(one_sided_partials(expr, Q).right[:, i])
-        seq_plus = np.stack(seq_plus)  # ladder index grows as eps shrinks
-        mono = np.max(seq_plus[:-1] - seq_plus[1:], axis=0)
-        conv = np.abs(_ladder_limit(seq_plus) - grad.right[:, i])
-        for row in range(len(P)):
-            viols.append(max(float(mono[row]), float(conv[row])))
-            witnesses.append((_pt(P[row]), i, "right"))
-
-        usable = P[:, i] > float(eps_ladder[0])
-        if np.any(usable):
+        for side, sign in (("right", 1.0), ("left", -1.0)):
+            # a left ladder needs room for its largest rung
+            usable = P[:, i] > LIMIT_EPS[0] if sign < 0 else np.full(len(P), True)
+            if not np.any(usable):
+                continue
             R = P[usable]
-            seq_minus = []
-            for eps in eps_ladder:
+            seq = []
+            for eps in LIMIT_EPS:
                 Q = R.copy()
-                Q[:, i] -= eps
-                seq_minus.append(one_sided_partials(expr, Q).right[:, i])
-            seq_minus = np.stack(seq_minus)
-            mono = np.max(seq_minus[1:] - seq_minus[:-1], axis=0)
-            conv = np.abs(_ladder_limit(seq_minus) - grad.left[usable, i])
+                Q[:, i] += sign * eps
+                seq.append(one_sided_partials(expr, Q).right[:, i])
+            seq = np.stack(seq)  # ladder index grows as eps shrinks
+            # rising toward f_i^+ from the right, falling toward f_i^- from the left
+            lower, upper = (seq[:-1], seq[1:]) if sign > 0 else (seq[1:], seq[:-1])
+            mono = np.max(lower - upper, axis=0)
+            conv = np.abs(_ladder_limit(seq) - getattr(grad, side)[usable, i])
             for k, row in enumerate(np.nonzero(usable)[0]):
                 viols.append(max(float(mono[k]), float(conv[k])))
-                witnesses.append((_pt(P[row]), i, "left"))
+                witnesses.append((_pt(P[row]), i, side))
     return _worst("derivative_limits", viols, LIMIT_TOL, lambda i: witnesses[i])
 
 
@@ -564,8 +547,6 @@ def gap_report(
     if grid_m is not None:
         ms = [int(m) for m in grid_m]
         if ms:
-            from .lp_oracle import build_lp, solve_lp
-
             lp_values = tuple((m, float(solve_lp(build_lp(surface, m)).value)) for m in ms)
             lp_bound = max(v for _, v in lp_values)
 

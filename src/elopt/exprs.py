@@ -140,10 +140,6 @@ class OneSidedGrad:
     right: np.ndarray
     defined_left: np.ndarray
 
-    def jump(self) -> np.ndarray:
-        """``left - right``; NaN where the left derivative is undefined."""
-        return self.left - self.right
-
 
 class ELExpr:
     """Base class of all expression nodes.  Instances are immutable."""
@@ -161,9 +157,6 @@ class ELExpr:
     def _sup(self) -> float:
         """Supremum of the range; ``inf`` when unbounded."""
         raise NotImplementedError
-
-    def __call__(self, x):
-        return eval_at(self, x)
 
 
 @dataclass(frozen=True)

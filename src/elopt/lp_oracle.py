@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .exprs import ELExpr, eval_at
-from .surfaces import Curve2D, Hyperplane, Surface
+from .surfaces import Surface
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -132,29 +132,6 @@ class RestrictionReport:
     objective: float
 
 
-def _crossing_fns(surface: Surface):
-    """Per-direction crossing coordinate of the surface on a grid line."""
-    if isinstance(surface, Hyperplane):
-        c1, c2 = surface.c
-
-        def cross_x(y: float) -> float:
-            return (surface.M - c2 * y) / c1
-
-        def cross_y(x: float) -> float:
-            return (surface.M - c1 * x) / c2
-
-        return cross_x, cross_y
-    curve: Curve2D = surface
-
-    def cross_x(y: float) -> float:
-        return float(curve.beta(min(y, curve.b)))
-
-    def cross_y(x: float) -> float:
-        return float(curve.alpha(min(x, curve.a)))
-
-    return cross_x, cross_y
-
-
 def build_lp(surface: Surface, m: int) -> GridLP:
     """Assemble the grid LP for a validated 2-D surface."""
     if surface.dim != 2:
@@ -166,16 +143,14 @@ def build_lp(surface: Surface, m: int) -> GridLP:
     report = surface.validate()
     if not report.valid:
         raise ValueError(f"surface failed validation: {'; '.join(report.violations)}")
-    box_x, box_y = surface.intercepts()
-    cross_x, cross_y = _crossing_fns(surface)
+    box = surface.intercepts()
+    h = (box[0] / m, box[1] / m)
     n_grid = m + 1
-    h_x = box_x / m
-    h_y = box_y / m
     t_col = n_grid * n_grid
-    n_vars = t_col + 1
-
-    def vid(i, j):
-        return i * n_grid + j
+    V = np.arange(t_col).reshape(n_grid, n_grid)  # V[i, j] is the column of f(i h_x, j h_y)
+    # Per axis d: its name, the letter of the grid-line index, the crossing of
+    # the surface with a grid line, and nodes[k, q] = node k along d on line q.
+    axes = (("x", "j", surface.beta, V), ("y", "i", surface.alpha, V.T))
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -184,70 +159,55 @@ def build_lp(surface: Surface, m: int) -> GridLP:
     kinds: list[str] = []
     counter = 0
 
-    def add_block(term_cols, term_vals, rhs_vals, labels):
+    def add_block(term_cols, term_vals, rhs_val, kind, label_nodes):
+        """Rows ``sum_t term_vals[t] * z[term_cols[t]] >= rhs_val``, labelled ``kind[i,j]`` by node."""
         nonlocal counter
-        k = len(term_cols[0])
+        k = np.size(term_cols[0])
         base = counter
         for col_arr, cf in zip(term_cols, term_vals):
             rows.append(base + np.arange(k))
-            cols.append(np.asarray(col_arr))
+            cols.append(np.ravel(col_arr))
             vals.append(np.full(k, float(cf)))
-        rhs.append(np.asarray(rhs_vals, dtype=float))
-        kinds.extend(labels)
+        rhs.append(np.full(k, float(rhs_val)))
+        if label_nodes is None:
+            kinds.append(kind)
+        else:
+            I, J = np.divmod(np.ravel(label_nodes), n_grid)
+            kinds.extend(f"{kind}[{i},{j}]" for i, j in zip(I.tolist(), J.tolist()))
         counter += k
 
     # (ii) corner monotonicity; the other monotonicity rows are implied
-    add_block([[vid(m, m)], [vid(m - 1, m)]], [1.0, -1.0], [0.0], [f"mono_x[{m - 1},{m}]"])
-    add_block([[vid(m, m)], [vid(m, m - 1)]], [1.0, -1.0], [0.0], [f"mono_y[{m},{m - 1}]"])
+    for name, _, _, nodes in axes:
+        add_block([nodes[m, m], nodes[m - 1, m]], [1.0, -1.0], 0.0, f"mono_{name}", nodes[m - 1, m])
 
     # (iii) lattice submodularity on every cell
-    I, J = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    I, J = I.ravel(), J.ravel()
     add_block(
-        [vid(I + 1, J), vid(I, J + 1), vid(I, J), vid(I + 1, J + 1)],
-        [1.0, 1.0, -1.0, -1.0],
-        np.zeros(I.size),
-        [f"submod[{i},{j}]" for i, j in zip(I, J)],
+        [V[1:, :-1], V[:-1, 1:], V[:-1, :-1], V[1:, 1:]], [1.0, 1.0, -1.0, -1.0], 0.0,
+        "submod", V[:-1, :-1],
     )
 
-    # (iv) per-axis concavity
-    I, J = np.meshgrid(np.arange(m - 1), np.arange(n_grid), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    add_block(
-        [vid(I + 1, J), vid(I, J), vid(I + 2, J)], [2.0, -1.0, -1.0], np.zeros(I.size),
-        [f"conc_x[{i},{j}]" for i, j in zip(I, J)],
-    )
-    I, J = np.meshgrid(np.arange(n_grid), np.arange(m - 1), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    add_block(
-        [vid(I, J + 1), vid(I, J), vid(I, J + 2)], [2.0, -1.0, -1.0], np.zeros(I.size),
-        [f"conc_y[{i},{j}]" for i, j in zip(I, J)],
-    )
+    # (iv) per-axis concavity; ravel("K") reads V's memory order, so the rows
+    # of both axes ascend by their first node
+    for name, _, _, nodes in axes:
+        first, mid, last = (nodes[s:s + m - 1].ravel("K") for s in range(3))
+        add_block([mid, first, last], [2.0, -1.0, -1.0], 0.0, f"conc_{name}", first)
 
     # (v) crossing rows
     crossings = 0
-    for j in range(n_grid):
-        c = cross_x(j * h_y)
-        if not (-_CROSS_TIE <= c <= box_x + _CROSS_TIE):
-            raise ValueError(f"surface exits the grid box at y = {j * h_y!r}")
-        k = int(math.floor((c + _CROSS_TIE) / h_x))
-        if 1 <= k <= m - 2:
-            add_block(
-                [[vid(k, j)], [vid(k - 1, j)], [vid(k + 1, j)], [vid(k + 2, j)]],
-                [1.0, -1.0, 1.0, -1.0], [h_x], [f"cross_x[j={j},k={k}]"],
-            )
-            crossings += 1
-    for i in range(n_grid):
-        c = cross_y(i * h_x)
-        if not (-_CROSS_TIE <= c <= box_y + _CROSS_TIE):
-            raise ValueError(f"surface exits the grid box at x = {i * h_x!r}")
-        k = int(math.floor((c + _CROSS_TIE) / h_y))
-        if 1 <= k <= m - 2:
-            add_block(
-                [[vid(i, k)], [vid(i, k - 1)], [vid(i, k + 1)], [vid(i, k + 2)]],
-                [1.0, -1.0, 1.0, -1.0], [h_y], [f"cross_y[i={i},k={k}]"],
-            )
-            crossings += 1
+    for d, (name, line, cross, nodes) in enumerate(axes):
+        across = 1 - d
+        for q in range(n_grid):
+            c = cross(min(q * h[across], box[across]))
+            if not (-_CROSS_TIE <= c <= box[d] + _CROSS_TIE):
+                raise ValueError(f"surface exits the grid box at {'xy'[across]} = {q * h[across]!r}")
+            k = int(math.floor((c + _CROSS_TIE) / h[d]))
+            if 1 <= k <= m - 2:
+                add_block(
+                    [nodes[k, q], nodes[k - 1, q], nodes[k + 1, q], nodes[k + 2, q]],
+                    [1.0, -1.0, 1.0, -1.0], h[d],
+                    f"cross_{name}[{line}={q},k={k}]", None,
+                )
+                crossings += 1
     if crossings == 0:
         warnings.warn(
             "grid hosts no crossing row; the LP is valid but its bound is trivial",
@@ -255,12 +215,8 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         )
 
     # (vi) objective support rows: h_d * t >= f(e_d)
-    add_block(
-        [np.array([t_col]), np.array([vid(1, 0)])], [h_x, -1.0], np.array([0.0]), ["obj_x"]
-    )
-    add_block(
-        [np.array([t_col]), np.array([vid(0, 1)])], [h_y, -1.0], np.array([0.0]), ["obj_y"]
-    )
+    for d, (name, _, _, nodes) in enumerate(axes):
+        add_block([t_col, nodes[1, 0]], [h[d], -1.0], 0.0, f"obj_{name}", None)
 
     row_ids = np.concatenate(rows)
     col_ids = np.concatenate(cols)
@@ -269,9 +225,9 @@ def build_lp(surface: Surface, m: int) -> GridLP:
     np.cumsum(np.bincount(row_ids, minlength=counter), out=indptr[1:])
     return GridLP(
         m=m,
-        h_x=h_x,
-        h_y=h_y,
-        n_vars=n_vars,
+        h_x=h[0],
+        h_y=h[1],
+        n_vars=t_col + 1,
         geq_indptr=indptr,
         geq_indices=col_ids[order].astype(np.int32),
         geq_data=np.concatenate(vals)[order],
@@ -318,22 +274,18 @@ def solve_lp(lp: GridLP) -> LPSolution:
     """Deterministic solve; infeasible/unbounded are reported in the status field.
 
     HiGHS receives ``min t`` subject to ``-geq @ z <= -geq_rhs`` and then
-    ``f(0,0) = 0`` as the last row, ``z >= 0``, column-wise, with presolve
-    on, the IPM solver, the dual simplex strategy and output off: the model
-    and options of ``linprog(method="highs-ipm")``.  (Infeasible and
-    unbounded cannot occur for a correctly built LP: the zero function
-    satisfies everything but crossings, feasible restrictions satisfy those
-    too, and the objective is bounded below by 0.)
+    ``f(0,0) = 0`` as the last row, ``z >= 0``, with presolve on, the IPM
+    solver, the dual simplex strategy and output off: the model and options
+    of ``linprog(method="highs-ipm")``.  The rows go in as built, row-wise;
+    HiGHS turns them into the column-wise matrix that linprog would pass.
+    (Infeasible and unbounded cannot occur for a correctly built LP: the
+    zero function satisfies everything but crossings, feasible restrictions
+    satisfy those too, and the objective is bounded below by 0.)
     """
     core = _highs()
     n_rows = lp.geq_rhs.size
     n_grid = lp.m + 1
 
-    rows = np.repeat(np.arange(n_rows + 1, dtype=np.int32), np.append(np.diff(lp.geq_indptr), 1))
-    cols = np.append(lp.geq_indices, np.int32(0))
-    order = np.argsort(cols, kind="stable")
-    start = np.zeros(lp.n_vars + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=lp.n_vars), out=start[1:])
     objective = np.zeros(lp.n_vars)
     objective[-1] = 1.0
     row_upper = np.append(-lp.geq_rhs, 0.0)
@@ -341,10 +293,10 @@ def solve_lp(lp: GridLP) -> LPSolution:
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
     model.num_row_ = model.a_matrix_.num_row_ = n_rows + 1
-    model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = rows[order]
-    model.a_matrix_.value_ = np.append(-lp.geq_data, 1.0)[order]
+    model.a_matrix_.format_ = core.MatrixFormat.kRowwise
+    model.a_matrix_.start_ = np.append(lp.geq_indptr, lp.geq_indptr[-1] + 1)
+    model.a_matrix_.index_ = np.append(lp.geq_indices, np.int32(0))
+    model.a_matrix_.value_ = np.append(-lp.geq_data, 1.0)
     model.col_cost_ = objective
     model.col_lower_ = np.zeros(lp.n_vars)
     model.col_upper_ = np.full(lp.n_vars, core.kHighsInf)

@@ -4,7 +4,8 @@ Two kinds of surface are supported:
 
 * :class:`Hyperplane` -- the set ``sum(c_i x_i) = M`` intersected with the
   orthant, in any dimension ``n >= 1``, with strictly positive ``c`` and
-  ``M``.  Its outward normal is the constant vector ``c``.
+  ``M``.  Its outward normal is the constant vector ``c``.  In 2-D it also
+  offers the curve evaluators ``alpha`` and ``beta`` (without snapping).
 * two-dimensional analytic curves running from ``(0, b)`` down to ``(a, 0)``:
   :class:`LineCurve`, :class:`QuadraticCurve` and :class:`HyperbolaCurve`.
   A curve is the graph ``{(x, alpha(x)) : 0 <= x <= a}`` of a strictly
@@ -62,6 +63,7 @@ SLOPE_MIN = 1e-6
 SLOPE_MAX = 1e6
 
 _ENDPOINT_TOL = 1e-12
+_CONTAINS_TOL = 1e-9
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 
@@ -143,13 +145,28 @@ class Hyperplane:
     def intercepts(self) -> tuple[float, ...]:
         return tuple(self.M / v for v in self.c)
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
+    def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
         if p.shape != (self.dim,):
             return False
         if np.any(p < 0.0):
             return False
-        return abs(float(np.dot(p, self.c)) - self.M) <= tol * max(1.0, self.M)
+        return abs(float(np.dot(p, self.c)) - self.M) <= _CONTAINS_TOL * max(1.0, self.M)
+
+    def _coeffs_2d(self) -> tuple[float, float]:
+        if self.dim != 2:
+            raise DomainError(f"alpha and beta need a 2-D hyperplane, got dim {self.dim}")
+        return self.c
+
+    def alpha(self, x):
+        """Height of the 2-D line above ``x``: ``(M - c_0 x) / c_1``."""
+        c0, c1 = self._coeffs_2d()
+        return (self.M - c0 * x) / c1
+
+    def beta(self, y):
+        """Inverse of ``alpha``: ``(M - c_1 y) / c_0``."""
+        c0, c1 = self._coeffs_2d()
+        return (self.M - c1 * y) / c0
 
     def normal_at(self, point=None) -> np.ndarray:
         if point is not None and not self.contains(point):

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from elopt import (
+    Hyperplane,
+    LineCurve,
+    QuadraticCurve,
     check_el,
     check_feasible,
     construct,
@@ -13,8 +17,8 @@ from elopt import (
     one_sided_partials,
 )
 from elopt.cli import _CSV_BLOCK_ROWS, _write_csv_rows, main
-from elopt.serialize import dumps, expr_from_dict, expr_to_dict, surface_from_dict
-from helpers import csv_rows_reference
+from elopt.serialize import dumps, expr_from_dict, expr_to_dict, surface_from_dict, surface_to_dict
+from helpers import csv_rows_reference, hyperbola_through
 
 QC_SURFACE = {
     "kind": "curve",
@@ -122,6 +126,35 @@ def test_serialized_expression_round_trips_bit_exactly(qc):
     rng = np.random.default_rng(17)
     pts = rng.uniform(0.0, 1.5, (100, 2))
     assert np.array_equal(eval_at(expr, pts), eval_at(clone, pts))
+
+
+def _float_bits(surface):
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value
+
+    return [bits(v) for v in dataclasses.astuple(surface)]
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [
+        Hyperplane(c=(1.0, 2.0), M=1.0),
+        Hyperplane(c=(0.1, 0.2, 0.7), M=1.3),
+        LineCurve(a=0.3, b=1.7),
+        QuadraticCurve(a=1.37, b=0.81, c2=0.21),
+        hyperbola_through(2.0, 0.5, 0.4),
+    ],
+    ids=repr,
+)
+def test_serialized_surface_round_trips_bit_exactly(surface):
+    doc = surface_to_dict(surface)
+    for clone in (surface_from_dict(doc), surface_from_dict(json.loads(dumps(doc)))):
+        assert clone == surface
+        assert _float_bits(clone) == _float_bits(surface)
 
 
 def test_check_pass_and_fail(tmp_path, h12):

@@ -351,6 +351,8 @@ def test_solve_matches_linprog_bit_for_bit(h11, h12, qc, qcc):
     [
         ("h12_m6", Hyperplane(c=(1.0, 2.0), M=1.0), 6),
         ("concave_m8", QuadraticCurve(a=1.0, b=1.0, c2=-0.5), 8),
+        # non-square box, odd m, and crossing patterns that differ between the axes
+        ("quadratic_m9", QuadraticCurve(a=1.37, b=0.81, c2=0.21), 9),
     ],
 )
 def test_dump_matches_the_pinned_text(name, surface, m):

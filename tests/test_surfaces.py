@@ -11,6 +11,7 @@ from elopt import (
     QuadraticCurve,
     bisect_decreasing,
 )
+from elopt.surfaces import SLOPE_MAX
 from helpers import hyperbola_through, qc_beta, qcc_beta
 
 
@@ -127,6 +128,15 @@ def test_validate_flags_shape_mismatch():
     assert any("curvature" in v for v in report.violations)
     report = QuadraticCurve(a=1.0, b=1.0, c2=0.5, shape="linear").validate()
     assert not report.valid
+    report = QuadraticCurve(a=1.0, b=1.0, c2=0.5, shape="strictly_concave").validate()
+    assert report.violations == ("shape flag strictly_concave does not match the curvature sign",)
+
+
+def test_validate_flags_slope_above_the_cap():
+    report = LineCurve(a=1e-7, b=1.0).validate()
+    assert not report.valid
+    assert report.slope_range[1] > SLOPE_MAX
+    assert any(f"exceeds the bound {SLOPE_MAX}" in v for v in report.violations)
 
 
 def test_validate_flags_non_monotone_arc():
@@ -163,6 +173,15 @@ def test_hyperplane_validate_and_helpers():
     assert plane.intercepts() == (1.0, 0.5)
     assert plane.contains((0.5, 0.25))
     assert not plane.contains((0.5, 0.5))
+    # in 2-D the line offers the curve evaluators: alpha(x) = (1 - x) / 2, beta(y) = 1 - 2 y
+    assert (plane.alpha(0.0), plane.alpha(0.5), plane.alpha(1.0)) == (0.5, 0.25, 0.0)
+    assert (plane.beta(0.0), plane.beta(0.25), plane.beta(0.5)) == (1.0, 0.5, 0.0)
+    assert np.array_equal(plane.alpha(np.array([0.5, 1.0])), [0.25, 0.0])
+    plane3 = Hyperplane(c=(1.0, 2.0, 3.0), M=1.0)
+    with pytest.raises(DomainError):
+        plane3.alpha(0.5)
+    with pytest.raises(DomainError):
+        plane3.beta(0.5)
 
 
 def test_normal_operation():

@@ -57,6 +57,7 @@ from .analysis import (
     check_el,
     check_feasible,
     gap_report,
+    lp_sweep,
     normal_ratio_bound,
 )
 from .constructions import CONSTRUCTION_NAMES, ConstructionResult, construct, convex_diag
@@ -69,7 +70,7 @@ from .errors import (
     UnboundedRangeError,
 )
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
-from .lp_oracle import build_lp, dump_lp, solve_lp
+from .lp_oracle import dump_lp
 from .serialize import dumps, expr_from_dict, expr_to_dict, surface_from_dict
 from .surfaces import SHAPE_CONVEX, Hyperplane, Surface
 
@@ -257,11 +258,8 @@ def _cmd_check(job: _Job, args) -> int:
 def _cmd_lp(job: _Job, args) -> int:
     rows = []
     lines = []
-    for m in job.grid:
-        lp = build_lp(job.surface, m)
-        sol = solve_lp(lp)
-        if sol.status != "optimal":
-            raise SolverError(f"LP status {sol.status} at m={m}")
+    for lp, sol in lp_sweep(job.surface, job.grid):
+        m = lp.m
         rows.append({"m": m, "value": sol.value, "crossing_rows": lp.crossing_rows,
                      "iterations": sol.iterations})
         lines.append(f"m={m}: lp_value {sol.value!r} ({lp.crossing_rows} crossing rows)")

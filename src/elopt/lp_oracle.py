@@ -44,11 +44,19 @@ The solve is delegated to the interior-point method of HiGHS, followed by
 crossover to an optimal vertex with basic duals; both phases are
 deterministic and single-threaded.  scipy only ships the HiGHS extension:
 :func:`solve_lp` loads ``scipy/optimize/_highspy/_core`` by file path on the
-first solve and imports no scipy Python package.  HiGHS gets the model and
-options that ``linprog(method="highs-ipm")`` would pass it, so values, grids
-and iteration counts are those of that call.  ``m`` is capped at 96 (about
-9.4k variables) to keep desk-scale runtimes.  Independent instances (an
-``m`` sweep) are safe to run in parallel since all inputs are immutable.
+first solve and imports no scipy Python package.  HiGHS gets the model that
+``linprog(method="highs-ipm")`` would pass it, with linprog's options but
+presolve off, so values, grids and iteration counts are those of that call
+with ``options={"presolve": False}``.  Presolve removes only the fixed
+column ``f(0,0)`` and its equality row, yet the reduced copy of the model it
+keeps raises peak memory of an m = 48 solve by 2-4 MB.  ``m`` is capped at
+96 (about 9.4k variables) to keep desk-scale runtimes.
+
+Independent instances (an ``m`` sweep, :func:`elopt.analysis.lp_sweep`) are
+safe to solve on concurrent threads: the inputs are immutable, every solve
+has its own ``_Highs`` object, and each solve is deterministic and
+single-threaded, so the bytes do not depend on what runs beside it.
+``_Highs.run`` releases the interpreter lock, so the solves overlap.
 """
 
 from __future__ import annotations
@@ -274,10 +282,11 @@ def solve_lp(lp: GridLP) -> LPSolution:
     """Deterministic solve; infeasible/unbounded are reported in the status field.
 
     HiGHS receives ``min t`` subject to ``-geq @ z <= -geq_rhs`` and then
-    ``f(0,0) = 0`` as the last row, ``z >= 0``, with presolve on, the IPM
+    ``f(0,0) = 0`` as the last row, ``z >= 0``, with presolve off, the IPM
     solver, the dual simplex strategy and output off: the model and options
-    of ``linprog(method="highs-ipm")``.  The rows go in as built, row-wise;
-    HiGHS turns them into the column-wise matrix that linprog would pass.
+    of ``linprog(method="highs-ipm", options={"presolve": False})``.  The
+    rows go in as built, row-wise; HiGHS turns them into the column-wise
+    matrix that linprog would pass.
     (Infeasible and unbounded cannot occur for a correctly built LP: the
     zero function satisfies everything but crossings, feasible restrictions
     satisfy those too, and the objective is bounded below by 0.)
@@ -304,7 +313,7 @@ def solve_lp(lp: GridLP) -> LPSolution:
     model.row_upper_ = row_upper
 
     options = core.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.solver = "ipm"
     options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone

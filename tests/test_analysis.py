@@ -4,11 +4,13 @@ import threading
 import numpy as np
 import pytest
 
+import elopt.analysis as analysis
 from elopt import (
     ConcaveStep,
     ConvexPlateau,
     DomainError,
     Hyperplane,
+    SolverError,
     Linear,
     QuadraticCurve,
     Scale,
@@ -25,6 +27,7 @@ from elopt import (
     normal_ratio_bound,
     one_sided_partials,
 )
+from elopt.lp_oracle import LPSolution, build_lp, solve_lp
 from helpers import hyperbola_through, sup_ratio_sampled
 
 PROPERTY_ORDER = (
@@ -117,8 +120,6 @@ def test_concurrent_evaluation_matches_plain_calls(qc, qcc):
 
 
 def test_property_task_exception_propagates(monkeypatch):
-    import elopt.analysis as analysis
-
     class Boom(Exception):
         pass
 
@@ -155,11 +156,15 @@ def test_product_function_fails_submodularity_with_witness():
     assert recomputed > 1e-7
 
 
-def test_reports_are_deterministic(qc):
+def test_reports_are_deterministic(qc, monkeypatch):
     expr = ConvexPlateau(qc)
     a = check_el(expr, (1.5, 1.5), samples=3000, seed=42)
     b = check_el(expr, (1.5, 1.5), samples=3000, seed=42)
     assert a == b
+    # the caller alone, and the caller beside two pool threads
+    for cpus in (1, 3):
+        monkeypatch.setattr(analysis, "_available_cpus", lambda: cpus)
+        assert check_el(expr, (1.5, 1.5), samples=3000, seed=42) == a
     c = check_el(expr, (1.5, 1.5), samples=3000, seed=43)
     assert c.passed and c != a  # witnesses move with the seed
 
@@ -253,6 +258,46 @@ def test_gap_report_with_lp(qc):
     assert rep.lp_bound <= rep.construction_cost + 1e-6
     assert rep.ratio_bound <= rep.construction_cost + 1e-9
     assert rep.gap_bound_minus_lp == pytest.approx(rep.ratio_bound - rep.lp_bound)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_lp_sweep_matches_the_serial_loop(qc, monkeypatch, cpus):
+    # unsorted, with a repeat: solved largest first, returned in sweep order
+    ms = (8, 16, 8, 12)
+    monkeypatch.setattr(analysis, "_available_cpus", lambda: cpus)
+    swept = analysis.lp_sweep(qc, ms)
+    assert [lp.m for lp, _ in swept] == list(ms)
+    for m, (_, sol) in zip(ms, swept):
+        ref = solve_lp(build_lp(qc, m))
+        assert (sol.value, sol.t, sol.status, sol.iterations) == (
+            ref.value, ref.t, ref.status, ref.iterations
+        )
+        assert sol.grid.tobytes() == ref.grid.tobytes()
+
+
+def test_lp_sweep_raises_the_serial_loops_first_error(qc, monkeypatch):
+    def serial_error(ms):
+        with pytest.raises(Exception) as caught:
+            for m in ms:
+                sol = solve_lp(build_lp(qc, m))
+                if sol.status != "optimal":
+                    raise SolverError(f"LP status {sol.status} at m={m}")
+        return type(caught.value), str(caught.value)
+
+    monkeypatch.setattr(analysis, "_available_cpus", lambda: 2)
+    # m = 3 and m = 200 both fail to build; m = 3 comes first in the sweep
+    with pytest.raises(DomainError) as caught:
+        analysis.lp_sweep(qc, (8, 3, 200))
+    assert (DomainError, str(caught.value)) == serial_error((8, 3, 200))
+
+    # a non-optimal status before a build error is the error raised
+    def infeasible_at_12(lp):
+        sol = solve_lp(lp)
+        return sol if lp.m != 12 else LPSolution(sol.value, sol.t, sol.grid, "infeasible", 0)
+
+    monkeypatch.setattr(analysis, "solve_lp", infeasible_at_12)
+    with pytest.raises(SolverError, match="^LP status infeasible at m=12$"):
+        analysis.lp_sweep(qc, (8, 12, 3))
 
 
 def test_gap_report_rejects_lp_for_higher_dimensions():

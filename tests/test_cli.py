@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -8,13 +9,16 @@ from elopt import (
     Hyperplane,
     LineCurve,
     QuadraticCurve,
+    build_lp,
     check_el,
     check_feasible,
     construct,
     convex_plateau,
+    dump_lp,
     eval_at,
     linear_opt,
     one_sided_partials,
+    solve_lp,
 )
 from elopt.cli import _CSV_BLOCK_ROWS, _write_csv_rows, main
 from elopt.serialize import dumps, expr_from_dict, expr_to_dict, surface_from_dict, surface_to_dict
@@ -176,6 +180,36 @@ def test_lp_command(tmp_path, capsys):
     assert "m=4: lp_value" in text
     assert "m=8: lp_value" in text
     assert (out / "grid_lp_m4.lp").exists()
+
+
+@pytest.mark.parametrize("grid", ["12,8", "8,12"])
+def test_lp_sweep_output_matches_a_serial_run(tmp_path, capsys, monkeypatch, grid):
+    import elopt.analysis as analysis
+
+    cfg = write_config(tmp_path, QC_SURFACE)
+    ms = [int(m) for m in grid.split(",")]
+    argv = ["--grid", grid, "lp", "--dump-lp"]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(analysis, "_available_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["--config", cfg, "--out", str(out), *argv]) == 0
+        text = capsys.readouterr().out.replace(str(out), "OUT")
+        runs.append((text, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+    # what a serial build_lp / solve_lp / dump_lp loop gives, in sweep order
+    text, files = runs[0]
+    surface = surface_from_dict(QC_SURFACE)
+    expected = []
+    for m in ms:
+        lp = build_lp(surface, m)
+        expected.append(f"m={m}: lp_value {solve_lp(lp).value!r} ({lp.crossing_rows} crossing rows)")
+        expected.append(f"  wrote OUT/grid_lp_m{m}.lp")
+        stream = io.StringIO()
+        dump_lp(lp, stream)
+        assert files[f"grid_lp_m{m}.lp"] == stream.getvalue().encode()
+    assert text.splitlines() == expected
+    assert len(files) == len(ms)
 
 
 def test_lp_rejects_higher_dimensions(tmp_path):

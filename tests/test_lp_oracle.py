@@ -303,7 +303,7 @@ def test_tiny_grid_warns_when_no_crossing_fits():
 
 
 def _linprog_reference(lp):
-    """The solve as ``scipy.optimize.linprog`` with the arguments solve_lp passed it before."""
+    """The solve as ``scipy.optimize.linprog`` with the model and options of ``solve_lp``."""
     import scipy.sparse as sp
     from scipy.optimize import linprog
 
@@ -320,6 +320,7 @@ def _linprog_reference(lp):
         b_eq=np.array([0.0]),
         bounds=(0.0, None),
         method="highs-ipm",
+        options={"presolve": False},
     )
 
 

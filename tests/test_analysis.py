@@ -10,10 +10,10 @@ from elopt import (
     ConvexPlateau,
     DomainError,
     Hyperplane,
-    SolverError,
     Linear,
     QuadraticCurve,
     Scale,
+    SolverError,
     TruncateMin,
     check_el,
     check_feasible,

@@ -19,9 +19,9 @@ Sampling is split into independent substreams derived from the master seed
 (one per property), so reports are bit-reproducible.  ``check_el`` fans the
 properties out over up to one thread per available CPU (numpy releases the
 interpreter lock inside its array loops) and collects them in a fixed order,
-so the report does not depend on the worker count.  ``lp_sweep`` runs the
-grid LPs of an ``m`` sweep on the same pool, largest ``m`` first, and
-returns them in sweep order.
+so the report does not depend on the worker count.  ``lp_sweep`` builds the
+grid LPs of an ``m`` sweep on the calling thread, then solves them on the
+same pool, largest ``m`` first, and returns them in sweep order.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .constructions import construct
-from .errors import DomainError, SolverError, UnboundedRangeError
+from .errors import DomainError, UnboundedRangeError
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
 from .lp_oracle import GridLP, LPSolution, build_lp, solve_lp
 from .surfaces import Curve2D, Hyperplane, Surface
@@ -165,7 +165,7 @@ def _value_batch(fn: Union[ELExpr, Callable]) -> Callable[[np.ndarray], np.ndarr
     return lambda X: np.array([float(fn(row)) for row in X], dtype=float)
 
 
-def _worst(name, viol, tol, witness_of, checked=None) -> PropertyCheck:
+def _worst(name, viol, tol, witness_of) -> PropertyCheck:
     viol = np.asarray(viol, dtype=float)
     if viol.size == 0:
         return PropertyCheck(name, True, 0.0, tol, None, 0)
@@ -177,7 +177,7 @@ def _worst(name, viol, tol, witness_of, checked=None) -> PropertyCheck:
         worst_violation=worst,
         tolerance=tol,
         witness=witness_of(idx),
-        checked=int(viol.size) if checked is None else checked,
+        checked=int(viol.size),
     )
 
 
@@ -544,23 +544,18 @@ def normal_ratio_bound(surface: Surface) -> RatioBound:
 
 
 def lp_sweep(surface: Surface, ms: Sequence[int]) -> list[tuple[GridLP, LPSolution]]:
-    """``build_lp`` and ``solve_lp`` for each grid size, on ``check_el``'s worker pool.
+    """``build_lp`` for each grid size, then ``solve_lp`` on ``check_el``'s worker pool.
 
-    Returns ``(lp, solution)`` in sweep order.  Solves start largest ``m``
-    first, so on two workers the slowest solve overlaps all the others.  A
-    status other than optimal raises ``SolverError``; the first error in
-    sweep order is re-raised, as a serial loop would raise it.
+    Returns ``(lp, solution)`` in sweep order.  Every LP is built on the
+    calling thread, in sweep order, before any solve, so a bad grid size
+    raises its first build error at once.  Solves start largest ``m``
+    first, so on two workers the slowest solve overlaps all the others;
+    every solve runs, then the first ``SolverError`` in sweep order is
+    re-raised.
     """
-
-    def solve(m):
-        lp = build_lp(surface, m)
-        sol = solve_lp(lp)
-        if sol.status != "optimal":
-            raise SolverError(f"LP status {sol.status} at m={m}")
-        return lp, sol
-
+    lps = [build_lp(surface, m) for m in ms]
     largest_first = sorted(range(len(ms)), key=lambda k: -ms[k])
-    return _run_tasks([partial(solve, m) for m in ms], largest_first)
+    return list(zip(lps, _run_tasks([partial(solve_lp, lp) for lp in lps], largest_first)))
 
 
 def gap_report(

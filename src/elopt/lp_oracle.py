@@ -39,6 +39,9 @@ crossings are skipped, which only weakens the relaxation.  The LP is always
 feasible (the restriction of any feasible function is a witness; with no
 crossing rows the zero function already satisfies everything) and bounded
 below by 0, so a deterministic solve returns a finite optimum.
+:func:`solve_lp` is the one place that decides whether a solve is usable:
+any HiGHS status other than optimal raises ``SolverError``, so every
+:class:`LPSolution` holds an optimum.
 
 The solve is delegated to the interior-point method of HiGHS, followed by
 crossover to an optimal vertex with basic duals; both phases are
@@ -128,7 +131,7 @@ class LPSolution:
     value: float
     t: float
     grid: np.ndarray            # (m+1, m+1); grid[i, j] = f(i h_x, j h_y)
-    status: str
+    status: str                 # always "optimal"; kept for the tracer's counters
     iterations: int             # interior-point plus crossover iterations
 
 
@@ -279,21 +282,20 @@ def _highs():
 
 
 def solve_lp(lp: GridLP) -> LPSolution:
-    """Deterministic solve; infeasible/unbounded are reported in the status field.
+    """Deterministic solve to an optimum; any other HiGHS status raises ``SolverError``.
 
     HiGHS receives ``min t`` subject to ``-geq @ z <= -geq_rhs`` and then
     ``f(0,0) = 0`` as the last row, ``z >= 0``, with presolve off, the IPM
     solver, the dual simplex strategy and output off: the model and options
     of ``linprog(method="highs-ipm", options={"presolve": False})``.  The
     rows go in as built, row-wise; HiGHS turns them into the column-wise
-    matrix that linprog would pass.
-    (Infeasible and unbounded cannot occur for a correctly built LP: the
-    zero function satisfies everything but crossings, feasible restrictions
-    satisfy those too, and the objective is bounded below by 0.)
+    matrix that linprog would pass.  Any other status raises
+    ``SolverError("LP status <HiGHS status name> at m=<m>")``; a built LP is
+    feasible and bounded (see the module docstring), so only an edited model
+    or a solver fault raises it.
     """
     core = _highs()
     n_rows = lp.geq_rhs.size
-    n_grid = lp.m + 1
 
     objective = np.zeros(lp.n_vars)
     objective[-1] = 1.0
@@ -327,25 +329,12 @@ def solve_lp(lp: GridLP) -> LPSolution:
         raise SolverError("HiGHS rejected the LP model or its options")
     highs.run()
     status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        raise SolverError(f"LP status {highs.modelStatusToString(status)} at m={lp.m}")
     info = highs.getInfo()
     iterations = int(
         (info.simplex_iteration_count or info.ipm_iteration_count) + info.crossover_iteration_count
     )
-    outcome = {
-        core.HighsModelStatus.kOptimal: "optimal",
-        core.HighsModelStatus.kInfeasible: "infeasible",
-        core.HighsModelStatus.kUnbounded: "unbounded",
-    }.get(status)
-    if outcome is None:
-        raise SolverError(f"LP solve failed: {highs.modelStatusToString(status)}")
-    if outcome != "optimal":
-        return LPSolution(
-            value=math.nan,
-            t=math.nan,
-            grid=np.full((n_grid, n_grid), math.nan),
-            status=outcome,
-            iterations=iterations,
-        )
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     value = float(info.objective_function_value)
@@ -362,7 +351,7 @@ def solve_lp(lp: GridLP) -> LPSolution:
     return LPSolution(
         value=value,
         t=float(x[-1]),
-        grid=x[:-1].reshape(n_grid, n_grid),
+        grid=x[:-1].reshape(lp.m + 1, lp.m + 1),
         status="optimal",
         iterations=iterations,
     )

@@ -27,7 +27,7 @@ from elopt import (
     normal_ratio_bound,
     one_sided_partials,
 )
-from elopt.lp_oracle import LPSolution, build_lp, solve_lp
+from elopt.lp_oracle import build_lp, solve_lp
 from helpers import hyperbola_through, sup_ratio_sampled
 
 PROPERTY_ORDER = (
@@ -279,9 +279,7 @@ def test_lp_sweep_raises_the_serial_loops_first_error(qc, monkeypatch):
     def serial_error(ms):
         with pytest.raises(Exception) as caught:
             for m in ms:
-                sol = solve_lp(build_lp(qc, m))
-                if sol.status != "optimal":
-                    raise SolverError(f"LP status {sol.status} at m={m}")
+                solve_lp(build_lp(qc, m))
         return type(caught.value), str(caught.value)
 
     monkeypatch.setattr(analysis, "_available_cpus", lambda: 2)
@@ -290,14 +288,24 @@ def test_lp_sweep_raises_the_serial_loops_first_error(qc, monkeypatch):
         analysis.lp_sweep(qc, (8, 3, 200))
     assert (DomainError, str(caught.value)) == serial_error((8, 3, 200))
 
-    # a non-optimal status before a build error is the error raised
-    def infeasible_at_12(lp):
-        sol = solve_lp(lp)
-        return sol if lp.m != 12 else LPSolution(sol.value, sol.t, sol.grid, "infeasible", 0)
+    solved = []
 
-    monkeypatch.setattr(analysis, "solve_lp", infeasible_at_12)
-    with pytest.raises(SolverError, match="^LP status infeasible at m=12$"):
+    def failing_at_12(lp):
+        solved.append(lp.m)
+        if lp.m == 12:
+            raise SolverError("LP status Infeasible at m=12")
+        return solve_lp(lp)
+
+    monkeypatch.setattr(analysis, "solve_lp", failing_at_12)
+    # a build error is raised before any solve, even after a failing m
+    with pytest.raises(DomainError, match="^need m >= 4, got 3$"):
         analysis.lp_sweep(qc, (8, 12, 3))
+    assert solved == []
+
+    # a solve error is raised after every other solve has run
+    with pytest.raises(SolverError, match="^LP status Infeasible at m=12$"):
+        analysis.lp_sweep(qc, (8, 12, 16))
+    assert sorted(solved) == [8, 12, 16]
 
 
 def test_gap_report_rejects_lp_for_higher_dimensions():

@@ -212,6 +212,25 @@ def test_lp_sweep_output_matches_a_serial_run(tmp_path, capsys, monkeypatch, gri
     assert len(files) == len(ms)
 
 
+@pytest.mark.parametrize("grid", ["3,48", "48,3"])
+def test_lp_rejects_a_bad_grid_size_before_any_solve(tmp_path, capsys, monkeypatch, grid):
+    import elopt.analysis as analysis
+
+    solved = []
+
+    def no_solve(lp):
+        solved.append(lp.m)
+        raise AssertionError(f"solve_lp called at m={lp.m}")
+
+    monkeypatch.setattr(analysis, "solve_lp", no_solve)
+    cfg = write_config(tmp_path, QC_SURFACE)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--grid", grid, "lp", "--dump-lp"]) == 2
+    assert capsys.readouterr().err == "error: need m >= 4, got 3\n"
+    assert solved == []
+    assert not out.exists()
+
+
 def test_lp_rejects_higher_dimensions(tmp_path):
     cfg = write_config(
         tmp_path, {"kind": "hyperplane", "c": [1.0, 2.0, 3.0], "M": 1.0}, grid=[4]

@@ -13,6 +13,7 @@ from elopt import (
     DomainError,
     Hyperplane,
     QuadraticCurve,
+    SolverError,
     build_lp,
     concave_construct,
     convex_plateau,
@@ -256,10 +257,9 @@ def test_lp_without_crossing_rows_collapses_to_zero(h11):
     assert sol.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_infeasible_status_is_reported_not_raised(h11):
-    sol = solve_lp(_contradicted(build_lp(h11, 4)))
-    assert sol.status == "infeasible"
-    assert np.isnan(sol.value)
+def test_infeasible_status_raises_solver_error(h11):
+    with pytest.raises(SolverError, match="^LP status Infeasible at m=4$"):
+        solve_lp(_contradicted(build_lp(h11, 4)))
 
 
 def test_grid_points_order_matches_variables(h11):
@@ -330,21 +330,20 @@ def test_solve_matches_linprog_bit_for_bit(h11, h12, qc, qcc):
         for surface in (h12, qc, qcc, hyperbola_through(2.0, 0.5, 0.4))
         for m in (4, 8, 16, 32)
     ]
-    lps += [_stripped(build_lp(h11, 4)), _contradicted(build_lp(h11, 4))]
-    statuses = []
+    lps.append(_stripped(build_lp(h11, 4)))
     for lp in lps:
         sol = solve_lp(lp)
         ref = _linprog_reference(lp)
-        statuses.append(sol.status)
-        assert sol.iterations == ref.nit + ref.crossover_nit, lp.surface
-        if ref.status == 2:
-            assert sol.status == "infeasible"
-            continue
         assert ref.status == 0 and sol.status == "optimal", lp.surface
+        assert sol.iterations == ref.nit + ref.crossover_nit, lp.surface
         assert sol.value == ref.fun
         assert sol.t == ref.x[-1]
         assert sol.grid.tobytes() == ref.x[:-1].tobytes()
-    assert statuses == ["optimal"] * (len(lps) - 1) + ["infeasible"]
+    # what linprog reports as infeasible (status 2), solve_lp raises
+    contradicted = _contradicted(build_lp(h11, 4))
+    assert _linprog_reference(contradicted).status == 2
+    with pytest.raises(SolverError, match="^LP status Infeasible at m=4$"):
+        solve_lp(contradicted)
 
 
 @pytest.mark.parametrize(

@@ -386,10 +386,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     sys.stderr.write(f"  - {clause}\n")
                 return 3
         return args.func(job, args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except ShapeError as exc:
+    except (ConfigError, ShapeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except SolverError as exc:

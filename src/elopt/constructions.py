@@ -3,7 +3,8 @@
 Each builder returns a :class:`ConstructionResult` whose ``claimed_cost`` is
 computed from the surface's closed-form slopes and then cross-checked against
 ``cost(expr)`` from the derivative machinery; a mismatch beyond 1e-9 is a
-build-time error, so the two independent paths guard each other.
+build-time error, so the two independent paths guard each other.  A builder
+checks the curve's shape; the piecewise node it builds checks its validity.
 
 For curves without a point of normal (1, 1) the plateau and capped-sum
 builders fall back to their single-branch forms.  Those forms get one
@@ -34,6 +35,7 @@ __all__ = [
     "ConstructionResult",
     "construct",
     "linear_opt",
+    "linear_opt_curve",
     "convex_plateau",
     "convex_diag",
     "concave_construct",
@@ -64,12 +66,9 @@ class ConstructionResult:
     kind: str
 
 
-def _require_valid(curve: Curve2D, expected_shape: str) -> None:
+def _require_shape(curve: Curve2D, expected_shape: str) -> None:
     if curve.shape != expected_shape:
         raise ShapeError(f"expected a {expected_shape} curve, got shape {curve.shape!r}")
-    report = curve.validate()
-    if not report.valid:
-        raise ConstructionError(f"curve failed validation: {'; '.join(report.violations)}")
 
 
 def _finish(expr: ELExpr, claimed: float, scale_k: float, kind: str) -> ConstructionResult:
@@ -114,8 +113,7 @@ def linear_opt(surface: Hyperplane) -> ConstructionResult:
 
 def linear_opt_curve(curve: Curve2D) -> ConstructionResult:
     """Optimal function for a linear curve, via the equivalent hyperplane ``x/a + y/b = 1``."""
-    if curve.shape != SHAPE_LINEAR:
-        raise ShapeError(f"expected a linear curve, got shape {curve.shape!r}")
+    _require_shape(curve, SHAPE_LINEAR)
     return linear_opt(Hyperplane(c=(1.0 / curve.a, 1.0 / curve.b), M=1.0))
 
 
@@ -126,7 +124,7 @@ def convex_plateau(curve: Curve2D) -> ConstructionResult:
     curve has no point with normal (1, 1) the single-branch fallback is built
     and suite-verified.
     """
-    _require_valid(curve, SHAPE_CONVEX)
+    _require_shape(curve, SHAPE_CONVEX)
     expr = ConvexPlateau(curve)
     # Without a seam point the slopes lie on one side of 1, and -beta'(0) is
     # 1/(-alpha'(a)), so this max is also the cost of either fallback.
@@ -143,7 +141,7 @@ def convex_diag(curve: Curve2D) -> ConstructionResult:
     at least ``k = min(-alpha'(a), -beta'(b))``, so ``1/k`` times the raw
     function is the optimal feasible scaling with cost ``1/k``.
     """
-    _require_valid(curve, SHAPE_CONVEX)
+    _require_shape(curve, SHAPE_CONVEX)
     inner = ConvexDiag(curve)
     k = min(-curve.alpha_prime(curve.a), -curve.beta_prime(curve.b))
     scale = 1.0 / float(k)
@@ -160,10 +158,11 @@ def concave_construct(curve: Curve2D) -> ConstructionResult:
     fallbacks cover curves without a (1, 1)-normal point and are
     suite-verified.
     """
-    _require_valid(curve, SHAPE_CONCAVE)
+    _require_shape(curve, SHAPE_CONCAVE)
+    node = ConcaveStep(curve)
     # As in convex_plateau, the min also picks the fallbacks' smallest jump.
     k = 1.0 / float(min(-curve.alpha_prime(0.0), -curve.beta_prime(0.0)))
-    expr = Scale(k, ConcaveStep(curve))
+    expr = Scale(k, node)
     if curve.t_point() is None:
         _verify_fallback(expr, curve, "concave_construct")
     return _finish(expr, k, k, "concave_construct")

@@ -16,7 +16,8 @@ The class is closed under non-negative linear combination (:class:`Sum`,
 :class:`ConvexPlateau`, :class:`ConvexDiag` and :class:`ConcaveStep`, realise
 the cost-optimal functions for strictly convex and strictly concave
 separating curves; builders with the matching feasibility bookkeeping live in
-:mod:`elopt.constructions`.
+:mod:`elopt.constructions`.  Each piecewise node checks its curve's shape and
+validity, and derives its seam, supremum and fallback strip once, in a layout.
 
 Every node supports batched evaluation and *exact* one-sided partial
 derivatives.  Left/right limits are propagated symbolically through the
@@ -97,9 +98,12 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
 
 
 def _on_or_above(v, w):
-    """``side -> mask`` of ``v`` on or above ``w``; a tie (``|v - w| <= tol``) counts as on or above unless ``side < 0``."""
+    """``(sx, sy=0) -> mask`` of ``v`` on or above ``w``, a tie (``|v - w| <= tol``) going towards the queried side.
+
+    A queried side moves along one axis at most, so ``sx or sy`` is its sign.
+    """
     up, down = ~(v < w - _TIE_TOL), v > w + _TIE_TOL
-    return lambda side: down if side < 0 else up
+    return lambda sx, sy=0: down if (sx or sy) < 0 else up
 
 
 def _select(default, *cases):
@@ -110,20 +114,13 @@ def _select(default, *cases):
     return out
 
 
-def _tie_test(u, level):
-    """``(sx, sy) -> mask`` of ``u`` on or above ``level``, a tie going towards the queried side.
-
-    A queried side moves along one axis at most, so ``sx or sy`` is its sign.
-    """
-    above = _on_or_above(u, level)
-    return lambda sx, sy: above(sx or sy)
-
-
 class _Layout(NamedTuple):
+    """What a piecewise node derives from its curve: the seam or fallback branch, and the range's supremum."""
     mode: str       # "full" | "single_shallow" | "single_steep"
-    t_x: float
+    t_x: float      # seam point (NaN without one)
     t_y: float
-    plateau: float  # NaN when the variant has no plateau (concave fallbacks)
+    sup: float      # supremum of the range; the plateau value where there is one
+    along_x: bool   # single branch: it keeps the x strip's pieces, comparing x with beta(y)
 
 
 @dataclass(frozen=True)
@@ -361,11 +358,12 @@ def _group_pieces(table):
 class _CurveConstruction(ELExpr):
     """Shared plumbing of the three piecewise two-dimensional nodes.
 
-    A node classifies points into pieces (``_classify``) and lists each
-    piece's value and partials in ``_PASSES`` (see :func:`_group_pieces`);
-    pieces missing from the table sit on the plateau, with zero partials.
-    ``_layout`` picks between the seam layout and the single-branch
-    fallbacks; a node supplies only its plateau values for each.
+    A node checks its curve's shape and validity when built, then resolves
+    ``_layout`` once: the seam or a single-branch fallback, the supremum of
+    the range and the strip a fallback keeps.  It classifies points into
+    pieces (``_classify``) and lists each piece's value and partials in
+    ``_PASSES`` (see :func:`_group_pieces`); pieces missing from the table
+    sit on the plateau, with zero partials.
 
     Each batch is classified once: the comparisons against the seam
     coordinates and against the curve do not depend on the queried side, so
@@ -378,11 +376,9 @@ class _CurveConstruction(ELExpr):
     curve: Curve2D
 
     _required_shape = ""
-    # Single-branch fallbacks as (mode, plateau of the curve), in the order
-    # tried when the curve has no seam point.
+    # Single-branch fallbacks as (mode, along_x, supremum of the curve's
+    # range), in the order tried when the curve has no seam point.
     _FALLBACKS: tuple = ()
-    # The fallback mode that keeps the strip x >= t_x (the other keeps y >= t_y).
-    _X_STRIP_FALLBACK = ""
     _NO_SEAM = "curve has no point with normal (1, 1) yet its slope range straddles 1"
     # Pieces of the full layout below the seam, then (on or above, below the
     # curve) on the strip x >= t_x and on the strip y >= t_y.
@@ -394,6 +390,9 @@ class _CurveConstruction(ELExpr):
                 f"{type(self).__name__} requires a {self._required_shape} curve, "
                 f"got shape {self.curve.shape!r}"
             )
+        report = self.curve.validate()
+        if not report.valid:
+            raise ConstructionError(f"curve failed validation: {'; '.join(report.violations)}")
         _ = self._layout  # resolve the seam / fallback branch eagerly
 
     @property
@@ -404,19 +403,19 @@ class _CurveConstruction(ELExpr):
     def _layout(self) -> _Layout:
         t = self.curve.t_point()
         if t is not None:
-            return _Layout("full", t.t_x, t.t_y, self._seam_plateau(t))
+            return _Layout("full", t.t_x, t.t_y, self._seam_plateau(t), False)
         s_lo, s_hi = self.curve.slope_range()
         fits = {"single_shallow": s_hi <= 1.0, "single_steep": s_lo >= 1.0}
-        for mode, plateau in self._FALLBACKS:
+        for mode, along_x, sup in self._FALLBACKS:
             if fits[mode]:
-                return _Layout(mode, math.nan, math.nan, plateau(self.curve))
+                return _Layout(mode, math.nan, math.nan, sup(self.curve), along_x)
         raise ConstructionError(self._NO_SEAM)
 
     def _seam_plateau(self, t: TPoint) -> float:
         return t.t_x + t.t_y
 
     def _sup(self) -> float:
-        return self._layout.plateau
+        return self._layout.sup
 
     # Values of the curve and of its derivatives, with the argument clamped
     # into the curve's parameter range (the classifier only selects pieces
@@ -452,26 +451,25 @@ class _CurveConstruction(ELExpr):
         def above(sx, sy):
             su, sv = (sx, sy) if along_x else (sy, sx)
             past = past_end(sv)
-            return (past & on_axis(su)) | (~past & on_curve(su or sv))
+            return (past & on_axis(su)) | (~past & on_curve(su, sv))
 
         return above
 
     def _strip_test(self, x, y, x_strip: bool):
         """Seam layout: ``(sx, sy) -> mask`` of the strip points (x >= t_x or y >= t_y) on or above the curve."""
-        return _tie_test(x, self.curve.beta(y)) if x_strip else _tie_test(y, self.curve.alpha(x))
+        return _on_or_above(x, self.curve.beta(y)) if x_strip else _on_or_above(y, self.curve.alpha(x))
 
     def _single_test(self, x, y, along_x: bool):
-        """Single-branch layout: ``(sx, sy) -> mask`` of the points on or above the curve."""
-        raise NotImplementedError
+        """Single-branch layout: ``(sx, sy) -> mask`` of the points on or above the curve clamped into its range."""
+        return self._clamped_test(x, y, along_x)
 
     def _classify(self, x, y):
         """``(sx, sy) -> piece codes`` of the batch, ties resolved towards the queried side."""
         lay = self._layout
         if lay.mode == "full":
             return self._classify_seam(x, y)
-        along_x = lay.mode == self._X_STRIP_FALLBACK
-        above = self._single_test(x, y, along_x)
-        on, below = self._SEAM_PIECES[1 if along_x else 2]
+        above = self._single_test(x, y, lay.along_x)
+        on, below = self._SEAM_PIECES[1 if lay.along_x else 2]
         return lambda sx, sy: _select(below, (above(sx, sy), on))
 
     def _classify_seam(self, x, y):
@@ -506,7 +504,7 @@ class _CurveConstruction(ELExpr):
 
     def _eval(self, column: int, piece, x, y) -> np.ndarray:
         """Column 0 (value), 1 (d/dx) or 2 (d/dy) of the piece table at classified points."""
-        out = np.full(x.shape, self._layout.plateau if column == 0 else 0.0)
+        out = np.full(x.shape, self._layout.sup if column == 0 else 0.0)
         coords = ((x, y), (x,), (y,))[column]
         for codes, formula in self._PASSES[column]:
             m = piece == codes[0]
@@ -551,23 +549,19 @@ class ConvexPlateau(_CurveConstruction):
 
     _required_shape = SHAPE_CONVEX
     _PASSES = _group_pieces({
-        _XSTRIP: (lambda f, x, y: f._layout.plateau + x - f._beta_cl(y), 1.0, _neg_beta_prime),
-        _YSTRIP: (lambda f, x, y: f._layout.plateau + y - f._alpha_cl(x), _neg_alpha_prime, 1.0),
+        _XSTRIP: (lambda f, x, y: f._layout.sup + x - f._beta_cl(y), 1.0, _neg_beta_prime),
+        _YSTRIP: (lambda f, x, y: f._layout.sup + y - f._alpha_cl(x), _neg_alpha_prime, 1.0),
         _INNER: (
             lambda f, x, y: (f.curve.a - f.curve.alpha(x)) + (f.curve.b - f.curve.beta(y)),
             _neg_alpha_prime,
             _neg_beta_prime,
         ),
     })
-    _FALLBACKS = (("single_shallow", lambda c: c.a), ("single_steep", lambda c: c.b))
-    _X_STRIP_FALLBACK = "single_shallow"
+    _FALLBACKS = (("single_shallow", True, lambda c: c.a), ("single_steep", False, lambda c: c.b))
     _SEAM_PIECES = (_INNER, (_FLAT, _XSTRIP), (_FLAT, _YSTRIP))
 
     def _seam_plateau(self, t: TPoint) -> float:
         return (self.curve.a - t.t_x) + (self.curve.b - t.t_y)
-
-    def _single_test(self, x, y, along_x):
-        return self._clamped_test(x, y, along_x)
 
 
 @dataclass(frozen=True)
@@ -585,8 +579,8 @@ class ConvexDiag(_CurveConstruction):
 
     _required_shape = SHAPE_CONVEX
     _PASSES = _group_pieces({
-        _XSTRIP: (lambda f, x, y: f._layout.plateau + y - f._alpha_cl(x), _neg_alpha_prime, 1.0),
-        _YSTRIP: (lambda f, x, y: f._layout.plateau + x - f._beta_cl(y), 1.0, _neg_beta_prime),
+        _XSTRIP: (lambda f, x, y: f._layout.sup + y - f._alpha_cl(x), _neg_alpha_prime, 1.0),
+        _YSTRIP: (lambda f, x, y: f._layout.sup + x - f._beta_cl(y), 1.0, _neg_beta_prime),
         _SUM: (_x_plus_y, 1.0, 1.0),
     })
     _NO_SEAM = "ConvexDiag needs both diagonal branches: the curve has no point with normal (1, 1)"
@@ -625,19 +619,12 @@ class ConcaveStep(_CurveConstruction):
         _XUP: (lambda f, x, y: y + f._beta_lin(y), 0.0, lambda f, y: 1.0 + f._beta_prime_cl(y)),
         _YUP: (lambda f, x, y: x + f._alpha_lin(x), lambda f, x: 1.0 + f._alpha_prime_cl(x), 0.0),
     })
-    _FALLBACKS = (("single_steep", lambda c: math.nan), ("single_shallow", lambda c: math.nan))
-    _X_STRIP_FALLBACK = "single_steep"
+    # A single branch is bounded only where its linear tail is flat.
+    _FALLBACKS = (
+        ("single_steep", True, lambda c: math.inf if 1.0 + c.beta_prime(c.b) > 0.0 else c.b),
+        ("single_shallow", False, lambda c: math.inf if 1.0 + c.alpha_prime(c.a) > 0.0 else c.a),
+    )
     _SEAM_PIECES = (_SUM, (_XUP, _SUM), (_YUP, _SUM))
-
-    def _sup(self) -> float:
-        lay = self._layout
-        if lay.mode == "full":
-            return lay.plateau
-        if lay.mode == "single_steep":
-            tail = 1.0 + self.curve.beta_prime(self.curve.b)
-            return math.inf if tail > 0.0 else self.curve.b
-        tail = 1.0 + self.curve.alpha_prime(self.curve.a)
-        return math.inf if tail > 0.0 else self.curve.a
 
     def _beta_lin(self, y):
         # Linear continuation of beta past the y-intercept (slope beta'(b)).
@@ -651,7 +638,7 @@ class ConcaveStep(_CurveConstruction):
     def _single_test(self, x, y, along_x):
         # The linear continuation keeps beta' nonzero everywhere, so a tie
         # is always resolvable from either coordinate.
-        return _tie_test(x, self._beta_lin(y)) if along_x else _tie_test(y, self._alpha_lin(x))
+        return _on_or_above(x, self._beta_lin(y)) if along_x else _on_or_above(y, self._alpha_lin(x))
 
 
 def eval_at(expr: ELExpr, x):

@@ -153,7 +153,7 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         raise DomainError(f"m = {m} above the cap {M_CAP} (9.4k variables)")
     report = surface.validate()
     if not report.valid:
-        raise ValueError(f"surface failed validation: {'; '.join(report.violations)}")
+        raise DomainError(f"surface failed validation: {'; '.join(report.violations)}")
     box = surface.intercepts()
     h = (box[0] / m, box[1] / m)
     n_grid = m + 1
@@ -210,7 +210,7 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         for q in range(n_grid):
             c = cross(min(q * h[across], box[across]))
             if not (-_CROSS_TIE <= c <= box[d] + _CROSS_TIE):
-                raise ValueError(f"surface exits the grid box at {'xy'[across]} = {q * h[across]!r}")
+                raise DomainError(f"surface exits the grid box at {'xy'[across]} = {q * h[across]!r}")
             k = int(math.floor((c + _CROSS_TIE) / h[d]))
             if 1 <= k <= m - 2:
                 add_block(

@@ -301,8 +301,7 @@ class Curve2D:
         s_hi = float(np.max(slopes))
         if s_lo <= 0.0:
             violations.append("alpha is not strictly decreasing on [0, a]")
-        for end, label in ((0.0, "x=0"), (self.a, "x=a")):
-            s_end = -float(self.alpha_prime(end))
+        for s_end, label in ((float(slopes[0]), "x=0"), (float(slopes[-1]), "x=a")):
             if s_end < SLOPE_MIN:
                 violations.append(
                     f"normal degenerate at endpoint {label}: -alpha' = {s_end!r} below {SLOPE_MIN}"

@@ -10,6 +10,7 @@ from elopt import (
     ConvexDiag,
     ConvexPlateau,
     DomainError,
+    HyperbolaCurve,
     Linear,
     QuadraticCurve,
     Scale,
@@ -392,6 +393,30 @@ def test_concave_fallback_shallow_curve():
     assert (g.left[1], g.right[1]) == (1.0, 0.0)
     assert g.left[0] == 1.0
     assert g.right[0] == pytest.approx(1.0 + float(curve.alpha_prime(x)), abs=1e-12)
+    with pytest.raises(UnboundedRangeError):  # tail slope 1 + alpha'(a) = 0.2
+        cost_total(expr)
+
+
+@pytest.mark.parametrize("b, mode, total", [(1.25, "single_steep", 1.25), (0.75, "single_shallow", 1.0)])
+def test_concave_fallback_with_flat_tail_is_bounded(b, mode, total):
+    # Slopes in [1, 1.5] and [0.5, 1]: the tail slope 1 + beta'(b), resp.
+    # 1 + alpha'(a), is 0, so the supremum is the intercept the branch ends at.
+    expr = ConcaveStep(QuadraticCurve(a=1.0, b=b, c2=-0.25))
+    assert expr._layout.mode == mode
+    assert cost_total(expr) == total
+
+
+@pytest.mark.parametrize(
+    "node_type, curve",
+    [
+        (ConvexPlateau, HyperbolaCurve(a=1.0, b=1.0, s=1.0, t=2.0)),  # alpha(0) != b
+        (ConvexDiag, QuadraticCurve(a=1.0, b=1.0, c2=1.0)),  # alpha'(a) = 0
+        (ConcaveStep, QuadraticCurve(a=1.0, b=1.0, c2=-2.0)),  # alpha increasing near 0
+    ],
+)
+def test_piecewise_node_rejects_an_invalid_curve(node_type, curve):
+    with pytest.raises(ConstructionError, match="^curve failed validation: "):
+        node_type(curve)
 
 
 # ------------------------------------------------ tie rule against an oracle

@@ -124,6 +124,7 @@ MALFORMED_EXPRESSIONS = {
     "curve_node_family_not_a_string": {"op": "concave_step", "curve": dict(_GOOD_CURVE, family=["q"])},
     "curve_node_bad_params": {"op": "convex_plateau", "curve": dict(_GOOD_CURVE, params={"s": 1.0})},
     "curve_node_extra_key": {"op": "convex_plateau", "curve": _GOOD_CURVE, "seam": 0.5},
+    "curve_node_invalid_curve": {"op": "convex_plateau", "curve": _hyperbola(1.0, 1.0, 1.0, 2.0)},
 }
 
 

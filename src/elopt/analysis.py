@@ -19,9 +19,13 @@ Sampling is split into independent substreams derived from the master seed
 (one per property), so reports are bit-reproducible.  ``check_el`` fans the
 properties out over up to one thread per available CPU (numpy releases the
 interpreter lock inside its array loops) and collects them in a fixed order,
-so the report does not depend on the worker count.  ``lp_sweep`` builds the
-grid LPs of an ``m`` sweep on the calling thread, then solves them on the
-same pool, largest ``m`` first, and returns them in sweep order.
+so the report does not depend on the worker count.  A sampled property draws
+its points at full length, then computes its violations over row blocks of
+``_BLOCK`` rows (``_blocks``), so its temporaries stay one block long; every
+step is row-wise, so the report does not depend on the block size either.
+``lp_sweep`` builds the grid LPs of an ``m`` sweep on the calling thread,
+then solves them on the same pool, largest ``m`` first, and returns them in
+sweep order.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ LIMIT_TOL = 1e-6
 
 _FD_POINTS = 256
 _LIMIT_POINTS = 32
+# Rows per block of a sampled property (at least 2, see ``_blocks``).
+_BLOCK = 1 << 16
 
 # Substream k of the master seed drives property k, whether or not it runs.
 _PROPERTIES = (
@@ -283,25 +289,66 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _draw(gen, box_arr, rows: int) -> np.ndarray:
+    """``rows`` points uniform on ``[0, box]``.
+
+    The bits and the stream of ``gen.uniform(0.0, box_arr, (rows, n))``,
+    which computes ``0.0 + box * u`` from the same doubles.
+    """
+    return gen.random((rows, box_arr.size)) * box_arr
+
+
+def _blocks(fn, *arrays) -> np.ndarray:
+    """``fn`` over consecutive row blocks of ``arrays``, its results concatenated.
+
+    ``fn`` must be row-wise, so the result equals ``fn(*arrays)`` bit for
+    bit while its temporaries stay one block long.  A cut never leaves a
+    one-row block: numpy computes a one-row matrix product as a dot
+    product, whose bits can differ from the same row of a larger product.
+    """
+    n = len(arrays[0])
+    bounds = [0, *range(_BLOCK, n - 1, _BLOCK), n]
+    return np.concatenate([fn(*(a[lo:hi] for a in arrays)) for lo, hi in zip(bounds, bounds[1:])])
+
+
+def _row(fn, i: int, *arrays):
+    """Row ``i`` of ``fn(*arrays)``, for a row-wise ``fn``.
+
+    Computed on two rows (one only when the arrays have one), so that a
+    matrix product takes the path it took in ``_blocks``.
+    """
+    lo = max(0, min(i, len(arrays[0]) - 2))
+    return fn(*(a[lo : lo + 2] for a in arrays))[i - lo]
+
+
 def _ordered_pair(box_arr, samples, gen):
-    X = gen.uniform(0.0, box_arr, (samples, box_arr.size))
-    Y = X + (box_arr - X) * gen.uniform(size=X.shape)
-    return X, Y
+    """``X`` uniform on the box, and the fractions ``U`` that place ``_above(box_arr, X, U)``."""
+    X = _draw(gen, box_arr, samples)
+    return X, gen.random(X.shape)
+
+
+def _above(box_arr, X, U):
+    return X + (box_arr - X) * U
 
 
 def _monotone(value, box_arr, samples, gen) -> PropertyCheck:
     """x <= y implies f(x) <= f(y)."""
-    X, Y = _ordered_pair(box_arr, samples, gen)
-    viol = value(X) - value(Y)
-    return _worst("monotone", viol, VALUE_TOL, lambda i: (_pt(X[i]), _pt(Y[i])))
+    X, U = _ordered_pair(box_arr, samples, gen)
+    viol = _blocks(lambda X, U: value(X) - value(_above(box_arr, X, U)), X, U)
+    return _worst(
+        "monotone", viol, VALUE_TOL, lambda i: (_pt(X[i]), _pt(_above(box_arr, X[i], U[i])))
+    )
 
 
 def _submodular(value, box_arr, samples, gen) -> PropertyCheck:
     """f(x) + f(y) >= f(min(x, y)) + f(max(x, y))."""
-    X = gen.uniform(0.0, box_arr, (samples, box_arr.size))
-    Y = gen.uniform(0.0, box_arr, (samples, box_arr.size))
-    viol = value(np.minimum(X, Y)) + value(np.maximum(X, Y)) - value(X) - value(Y)
-    return _worst("submodular", viol, VALUE_TOL, lambda i: (_pt(X[i]), _pt(Y[i])))
+    X = _draw(gen, box_arr, samples)
+    Y = _draw(gen, box_arr, samples)
+
+    def viol(X, Y):
+        return value(np.minimum(X, Y)) + value(np.maximum(X, Y)) - value(X) - value(Y)
+
+    return _worst("submodular", _blocks(viol, X, Y), VALUE_TOL, lambda i: (_pt(X[i]), _pt(Y[i])))
 
 
 def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) -> PropertyCheck:
@@ -313,36 +360,46 @@ def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) 
     bit-identical.
     """
     n = box_arr.size
-    X = gen.uniform(0.0, box_arr, (samples, n))
+    X = _draw(gen, box_arr, samples)
     coord = gen.integers(0, n, size=samples)
-    along = coord[:, None] == np.arange(n)
-    if single_coordinate:
-        x_c = X[np.arange(samples), coord]
-        Y = X + np.where(along, ((box_arr[coord] - x_c) * gen.uniform(size=samples))[:, None], 0.0)
-    else:
-        Y = X + (box_arr - X) * gen.uniform(size=(samples, n))
-    eps = box_arr[coord] * (1e-4 + 0.5 * gen.uniform(size=samples))
-    step = np.where(along, eps[:, None], 0.0)
-    viol = (value(Y + step) - value(Y)) - (value(X + step) - value(X))
+    U = gen.random(samples if single_coordinate else (samples, n))
+    eps = box_arr[coord] * (1e-4 + 0.5 * gen.random(samples))
+
+    def upper(X, coord, U):
+        if not single_coordinate:
+            return _above(box_arr, X, U)
+        x_c = X[np.arange(len(X)), coord]
+        along = coord[:, None] == np.arange(n)
+        return X + np.where(along, ((box_arr[coord] - x_c) * U)[:, None], 0.0)
+
+    def viol(X, coord, U, eps):
+        Y = upper(X, coord, U)
+        step = np.where(coord[:, None] == np.arange(n), eps[:, None], 0.0)
+        return (value(Y + step) - value(Y)) - (value(X + step) - value(X))
+
     return _worst(
         name,
-        viol,
+        _blocks(viol, X, coord, U, eps),
         VALUE_TOL,
-        lambda i: (_pt(X[i]), _pt(Y[i]), int(coord[i]), float(eps[i])),
+        lambda i: (_pt(X[i]), _pt(_row(upper, i, X, coord, U)), int(coord[i]), float(eps[i])),
     )
 
 
 def _directional_concavity(value, box_arr, samples, gen) -> PropertyCheck:
     """Concavity along positive directions."""
-    X, Y = _ordered_pair(box_arr, samples, gen)
-    lam = gen.uniform(size=samples)
-    mid = lam[:, None] * X + (1.0 - lam[:, None]) * Y
-    viol = lam * value(X) + (1.0 - lam) * value(Y) - value(mid)
+    X, U = _ordered_pair(box_arr, samples, gen)
+    lam = gen.random(samples)
+
+    def viol(X, U, lam):
+        Y = _above(box_arr, X, U)
+        mid = lam[:, None] * X + (1.0 - lam[:, None]) * Y
+        return lam * value(X) + (1.0 - lam) * value(Y) - value(mid)
+
     return _worst(
         "directional_concavity",
-        viol,
+        _blocks(viol, X, U, lam),
         VALUE_TOL,
-        lambda i: (_pt(X[i]), _pt(Y[i]), float(lam[i])),
+        lambda i: (_pt(X[i]), _pt(_above(box_arr, X[i], U[i])), float(lam[i])),
     )
 
 
@@ -357,26 +414,35 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 def _left_at_least_right(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
     """Left >= right wherever the left derivative exists."""
-    P = gen.uniform(0.0, box_arr, (samples, box_arr.size))
-    grad = one_sided_partials(expr, P)
-    gap = np.where(grad.defined_left, grad.right - grad.left, -np.inf)
+    P = _draw(gen, box_arr, samples)
+
+    def gap(P):
+        grad = one_sided_partials(expr, P)
+        return np.where(grad.defined_left, grad.right - grad.left, -np.inf)
+
     return _worst(
         "left_at_least_right",
-        _row_max(gap),
+        _blocks(lambda P: _row_max(gap(P)), P),
         DERIV_TOL,
-        lambda i: (_pt(P[i]), int(np.argmax(gap[i]))),
+        lambda i: (_pt(P[i]), int(np.argmax(_row(gap, i, P)))),
     )
 
 
 def _derivative_monotone(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
     """Right derivatives do not increase along positive directions."""
-    X, Y = _ordered_pair(box_arr, samples, gen)
-    diff = one_sided_partials(expr, Y).right - one_sided_partials(expr, X).right
+    X, U = _ordered_pair(box_arr, samples, gen)
+
+    def diff(X, U):
+        Y = _above(box_arr, X, U)
+        return one_sided_partials(expr, Y).right - one_sided_partials(expr, X).right
+
     return _worst(
         "derivative_monotone",
-        _row_max(diff),
+        _blocks(lambda X, U: _row_max(diff(X, U)), X, U),
         DERIV_TOL,
-        lambda i: (_pt(X[i]), _pt(Y[i]), int(np.argmax(diff[i]))),
+        lambda i: (
+            _pt(X[i]), _pt(_above(box_arr, X[i], U[i])), int(np.argmax(_row(diff, i, X, U)))
+        ),
     )
 
 
@@ -393,7 +459,7 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     curvature is not mistaken for a wrong derivative rule.
     """
     n = box_arr.size
-    P = gen.uniform(0.0, box_arr, (_FD_POINTS, n))
+    P = _draw(gen, box_arr, _FD_POINTS)
     h = 1e-7 * np.maximum(1.0, np.max(np.abs(P), axis=1))
     base = eval_at(expr, P)
     grad = one_sided_partials(expr, P)
@@ -433,7 +499,7 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     the limit against the ladder extrapolated to ``eps = 0``.
     """
     n = box_arr.size
-    P = gen.uniform(0.0, box_arr, (_LIMIT_POINTS, n))
+    P = _draw(gen, box_arr, _LIMIT_POINTS)
     grad = one_sided_partials(expr, P)
     viols = []
     witnesses = []

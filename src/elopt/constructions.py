@@ -129,7 +129,7 @@ def convex_plateau(curve: Curve2D) -> ConstructionResult:
     # Without a seam point the slopes lie on one side of 1, and -beta'(0) is
     # 1/(-alpha'(a)), so this max is also the cost of either fallback.
     claimed = max(-curve.alpha_prime(0.0), -curve.beta_prime(0.0))
-    if curve.t_point() is None:
+    if expr._layout.mode != "full":
         _verify_fallback(expr, curve, "convex_plateau")
     return _finish(expr, float(claimed), 1.0, "convex_plateau")
 
@@ -163,7 +163,7 @@ def concave_construct(curve: Curve2D) -> ConstructionResult:
     # As in convex_plateau, the min also picks the fallbacks' smallest jump.
     k = 1.0 / float(min(-curve.alpha_prime(0.0), -curve.beta_prime(0.0)))
     expr = Scale(k, node)
-    if curve.t_point() is None:
+    if node._layout.mode != "full":
         _verify_fallback(expr, curve, "concave_construct")
     return _finish(expr, k, k, "concave_construct")
 

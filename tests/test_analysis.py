@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,16 +323,22 @@ def test_check_el_input_validation(qc):
         check_el(ConvexPlateau(qc), (1.0, -1.0), samples=10, seed=0)
 
 
+def _lying(factor):
+    """A plateau node whose partials are ``factor`` times the true ones."""
+
+    class Lying(ConvexPlateau):
+        def _partials(self, X):
+            left, right = super()._partials(X)
+            return left * factor, right * factor
+
+    return Lying
+
+
 def test_derivative_suite_catches_wrong_derivatives(qc):
     # a node lying about its derivatives, grossly or by 1e-5 relative,
     # must fail the FD cross-check
     for factor in (1.5, 1.0 + 1e-5):
-        class Lying(ConvexPlateau):
-            def _partials(self, X):
-                left, right = super()._partials(X)
-                return left * factor, right * factor
-
-        rep = check_el(Lying(qc), (1.2, 1.2), samples=1500, seed=11)
+        rep = check_el(_lying(factor)(qc), (1.2, 1.2), samples=1500, seed=11)
         assert not rep.property("fd_agreement").passed, factor
 
 
@@ -345,3 +352,80 @@ def test_derivative_checks_accept_strongly_curved_sections():
     assert rep.passed
     assert rep.property("fd_agreement").worst_violation < 1e-7
     assert rep.property("derivative_limits").worst_violation < 1e-9
+
+
+@pytest.mark.parametrize("box", [(1.5, 1.5), (0.7, 2.3, 1.1)])
+def test_draw_matches_uniform(box):
+    # gen.random(shape) * box is 0.0 + box * u: same bits, same stream
+    box_arr = np.asarray(box)
+    ref, gen = np.random.default_rng(5), np.random.default_rng(5)
+    want = ref.uniform(0.0, box_arr, (1001, box_arr.size))
+    assert analysis._draw(gen, box_arr, 1001).tobytes() == want.tobytes()
+    assert gen.random(size=(9, 2)).tobytes() == ref.uniform(size=(9, 2)).tobytes()
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_blocks_and_rows_never_compute_on_one_row(monkeypatch):
+    # numpy's one-row matrix product is a dot product, whose bits can differ
+    monkeypatch.setattr(analysis, "_BLOCK", 7)
+    for n in (0, 1, 2, 7, 8, 9, 15, 7 * 40 + 1):
+        sizes = analysis._blocks(lambda a: np.full(len(a), len(a)), np.arange(n))
+        assert len(sizes) == n
+        assert n < 2 or 2 <= sizes.min() and sizes.max() <= 8
+    X = np.random.default_rng(3).uniform(0.0, 1.7, (7 * 40 + 1, 2))
+    c = np.array([0.7, 1.3])
+    whole = X @ c
+    assert analysis._blocks(lambda X: X @ c, X).tobytes() == whole.tobytes()
+    rows = [analysis._row(lambda X: X @ c, i, X) for i in range(len(X))]
+    assert np.array(rows).tobytes() == whole.tobytes()
+
+
+class _Rising(ConvexPlateau):
+    """Right partials raised by the swapped point: right > left, and rising along positive steps."""
+
+    def _partials(self, X):
+        left, right = super()._partials(X)
+        return left, right + X[:, ::-1]
+
+
+def test_reports_do_not_depend_on_the_block_size(qc, monkeypatch):
+    cases = [
+        (ConvexPlateau(qc), None),
+        (lambda p: p[0] * p[1], "submodular"),
+        (_lying(1.5)(qc), "fd_agreement"),
+        (_Rising(qc), "left_at_least_right"),
+        (_Rising(qc), "derivative_monotone"),
+    ]
+    samples = 7 * 208 + 1  # a one-row tail at block size 7
+
+    def report(expr, block, samples=samples):
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        return check_el(expr, (1.2, 1.2), samples=samples, seed=4)
+
+    for expr, failing in cases:
+        whole = report(expr, samples)
+        if failing is not None:
+            assert not whole.property(failing).passed
+        for block in (7, 1000):
+            got = report(expr, block)
+            assert got == whole and repr(got) == repr(whole)
+
+    monkeypatch.undo()
+    samples = analysis._BLOCK + 123
+    for expr in (ConvexPlateau(qc), _Rising(qc)):
+        got = check_el(expr, (1.2, 1.2), samples=samples, seed=4)
+        assert repr(got) == repr(report(expr, samples, samples))
+
+
+def test_check_el_peak_memory_stays_blockwise(qc, monkeypatch):
+    # Whole-array evaluation peaked at about 35 MiB here; blocks keep the
+    # temporaries of the one running property at 65,536 rows.
+    monkeypatch.setattr(analysis, "_available_cpus", lambda: 1)
+    expr = ConvexPlateau(qc)
+    tracemalloc.start()
+    try:
+        assert check_el(expr, (1.5, 1.5), samples=300_000, seed=0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20

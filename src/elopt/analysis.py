@@ -322,12 +322,13 @@ def _row(fn, i: int, *arrays):
 
 
 def _ordered_pair(box_arr, samples, gen):
-    """``X`` uniform on the box, and the fractions ``U`` that place ``_above(box_arr, X, U)``."""
+    """``X`` uniform on the box, and the fractions ``U`` from which ``_above`` places ``Y >= X``."""
     X = _draw(gen, box_arr, samples)
     return X, gen.random(X.shape)
 
 
 def _above(box_arr, X, U):
+    """The point the fractions ``U`` of the way from ``X`` to the box's far corner."""
     return X + (box_arr - X) * U
 
 

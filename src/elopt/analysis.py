@@ -20,9 +20,11 @@ Sampling is split into independent substreams derived from the master seed
 properties out over up to one thread per available CPU (numpy releases the
 interpreter lock inside its array loops) and collects them in a fixed order,
 so the report does not depend on the worker count.  A sampled property draws
-its points at full length, then computes its violations over row blocks of
-``_BLOCK`` rows (``_blocks``), so its temporaries stay one block long; every
-step is row-wise, so the report does not depend on the block size either.
+its points and computes its violations one row block of ``_BLOCK`` rows at a
+time (``_Draws``, ``_fold``), so its memory stays one block long.  Each block
+draws exactly the rows of the full-length arrays, every step is row-wise, and
+the worst violation folds over the blocks by ``np.argmax``'s rules, so the
+report does not depend on the block size either.
 ``lp_sweep`` builds the grid LPs of an ``m`` sweep on the calling thread,
 then solves them on the same pool, largest ``m`` first, and returns them in
 sweep order.
@@ -30,6 +32,7 @@ sweep order.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -80,7 +83,7 @@ LIMIT_TOL = 1e-6
 
 _FD_POINTS = 256
 _LIMIT_POINTS = 32
-# Rows per block of a sampled property (at least 2, see ``_blocks``).
+# Rows per block of a sampled property.
 _BLOCK = 1 << 16
 
 # Substream k of the master seed drives property k, whether or not it runs.
@@ -188,7 +191,7 @@ def _worst(name, viol, tol, witness_of) -> PropertyCheck:
 
 
 def _pt(row) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.atleast_1d(row))
+    return tuple(float(v) for v in np.ravel(row))
 
 
 def check_el(
@@ -298,33 +301,71 @@ def _draw(gen, box_arr, rows: int) -> np.ndarray:
     return gen.random((rows, box_arr.size)) * box_arr
 
 
-def _blocks(fn, *arrays) -> np.ndarray:
-    """``fn`` over consecutive row blocks of ``arrays``, its results concatenated.
+def _advanced(state: dict, steps: int) -> np.random.PCG64:
+    """A PCG64 at ``state`` moved ``steps`` draws on, its buffered 32-bit half kept."""
+    bitgen = np.random.PCG64()
+    bitgen.state = state
+    bitgen.advance(steps)  # clears the buffered half
+    bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return bitgen
 
-    ``fn`` must be row-wise, so the result equals ``fn(*arrays)`` bit for
-    bit while its temporaries stay one block long.  A cut never leaves a
-    one-row block: numpy computes a one-row matrix product as a dot
-    product, whose bits can differ from the same row of a larger product.
+
+class _Draws:
+    """A task's random arrays of ``samples`` rows, handed out one row block at a time.
+
+    Each call stands for the same full-length call on ``gen`` at that place
+    in the task's sequence of draws, and returns ``rows(lo, hi)``, to be
+    asked for block after block from ``lo = 0``.  ``gen`` moves past the
+    array at once (a PCG64 double is one draw), and the blocks come from a
+    copy of ``gen`` at the array's start.  So the blocks are bit for bit
+    the rows of the full-length array, and ``gen`` ends where full-length
+    draws leave it.
     """
-    n = len(arrays[0])
-    bounds = [0, *range(_BLOCK, n - 1, _BLOCK), n]
-    return np.concatenate([fn(*(a[lo:hi] for a in arrays)) for lo, hi in zip(bounds, bounds[1:])])
+
+    def __init__(self, gen, samples: int):
+        self.gen = gen
+        self.samples = samples
+
+    def random(self, *width):
+        """Rows of ``gen.random((samples, *width))``."""
+        state = self.gen.bit_generator.state
+        self.gen.bit_generator.state = _advanced(state, self.samples * math.prod(width)).state
+        start = np.random.Generator(_advanced(state, 0))
+        return lambda lo, hi: start.random((hi - lo, *width))
+
+    def points(self, box_arr):
+        """Rows of ``_draw(gen, box_arr, samples)``."""
+        rows = self.random(box_arr.size)
+        return lambda lo, hi: rows(lo, hi) * box_arr
+
+    def integers(self, n: int):
+        """Rows of ``gen.integers(0, n, samples)``, drawn at full length: it may reject draws."""
+        full = self.gen.integers(0, n, size=self.samples)
+        return lambda lo, hi: full[lo:hi]
 
 
-def _row(fn, i: int, *arrays):
-    """Row ``i`` of ``fn(*arrays)``, for a row-wise ``fn``.
+def _fold(name, tol, samples, viol, witness, *arrays) -> PropertyCheck:
+    """``_worst`` of the row-wise ``viol`` over the ``arrays``, one row block at a time.
 
-    Computed on two rows (one only when the arrays have one), so that a
-    matrix product takes the path it took in ``_blocks``.
+    ``arrays`` are ``rows(lo, hi)`` callables, and ``witness`` maps the
+    arrays' one-row slices at the worst row to its witness.  Blocks fold by
+    ``np.argmax``'s rules, so the check equals ``_worst`` of the full-length
+    violations: the first maximum wins, and the first NaN beats every number.
     """
-    lo = max(0, min(i, len(arrays[0]) - 2))
-    return fn(*(a[lo : lo + 2] for a in arrays))[i - lo]
+    if samples == 0:
+        return PropertyCheck(name, True, 0.0, tol, None, 0)
+    for lo in range(0, samples, _BLOCK):
+        block = [rows(lo, min(lo + _BLOCK, samples)) for rows in arrays]
+        v = viol(*block)
+        i = int(np.argmax(v))
+        if lo == 0 or (not math.isnan(worst) and (v[i] > worst or math.isnan(v[i]))):
+            worst, found = float(v[i]), witness(*(b[i : i + 1] for b in block))
+    return PropertyCheck(name, worst <= tol, worst, tol, found, samples)
 
 
-def _ordered_pair(box_arr, samples, gen):
+def _ordered_pair(draws, box_arr):
     """``X`` uniform on the box, and the fractions ``U`` from which ``_above`` places ``Y >= X``."""
-    X = _draw(gen, box_arr, samples)
-    return X, gen.random(X.shape)
+    return draws.points(box_arr), draws.random(box_arr.size)
 
 
 def _above(box_arr, X, U):
@@ -334,22 +375,26 @@ def _above(box_arr, X, U):
 
 def _monotone(value, box_arr, samples, gen) -> PropertyCheck:
     """x <= y implies f(x) <= f(y)."""
-    X, U = _ordered_pair(box_arr, samples, gen)
-    viol = _blocks(lambda X, U: value(X) - value(_above(box_arr, X, U)), X, U)
-    return _worst(
-        "monotone", viol, VALUE_TOL, lambda i: (_pt(X[i]), _pt(_above(box_arr, X[i], U[i])))
+    return _fold(
+        "monotone",
+        VALUE_TOL,
+        samples,
+        lambda X, U: value(X) - value(_above(box_arr, X, U)),
+        lambda X, U: (_pt(X), _pt(_above(box_arr, X, U))),
+        *_ordered_pair(_Draws(gen, samples), box_arr),
     )
 
 
 def _submodular(value, box_arr, samples, gen) -> PropertyCheck:
     """f(x) + f(y) >= f(min(x, y)) + f(max(x, y))."""
-    X = _draw(gen, box_arr, samples)
-    Y = _draw(gen, box_arr, samples)
+    draws = _Draws(gen, samples)
+    X = draws.points(box_arr)
+    Y = draws.points(box_arr)
 
     def viol(X, Y):
         return value(np.minimum(X, Y)) + value(np.maximum(X, Y)) - value(X) - value(Y)
 
-    return _worst("submodular", _blocks(viol, X, Y), VALUE_TOL, lambda i: (_pt(X[i]), _pt(Y[i])))
+    return _fold("submodular", VALUE_TOL, samples, viol, lambda X, Y: (_pt(X), _pt(Y)), X, Y)
 
 
 def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) -> PropertyCheck:
@@ -361,10 +406,14 @@ def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) 
     bit-identical.
     """
     n = box_arr.size
-    X = _draw(gen, box_arr, samples)
-    coord = gen.integers(0, n, size=samples)
-    U = gen.random(samples if single_coordinate else (samples, n))
-    eps = box_arr[coord] * (1e-4 + 0.5 * gen.random(samples))
+    draws = _Draws(gen, samples)
+    X = draws.points(box_arr)
+    coord = draws.integers(n)
+    U = draws.random() if single_coordinate else draws.random(n)
+    frac = draws.random()
+
+    def eps(lo, hi):
+        return box_arr[coord(lo, hi)] * (1e-4 + 0.5 * frac(lo, hi))
 
     def upper(X, coord, U):
         if not single_coordinate:
@@ -378,30 +427,27 @@ def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) 
         step = np.where(coord[:, None] == np.arange(n), eps[:, None], 0.0)
         return (value(Y + step) - value(Y)) - (value(X + step) - value(X))
 
-    return _worst(
-        name,
-        _blocks(viol, X, coord, U, eps),
-        VALUE_TOL,
-        lambda i: (_pt(X[i]), _pt(_row(upper, i, X, coord, U)), int(coord[i]), float(eps[i])),
-    )
+    def witness(X, coord, U, eps):
+        return _pt(X), _pt(upper(X, coord, U)), int(coord[0]), float(eps[0])
+
+    return _fold(name, VALUE_TOL, samples, viol, witness, X, coord, U, eps)
 
 
 def _directional_concavity(value, box_arr, samples, gen) -> PropertyCheck:
     """Concavity along positive directions."""
-    X, U = _ordered_pair(box_arr, samples, gen)
-    lam = gen.random(samples)
+    draws = _Draws(gen, samples)
+    X, U = _ordered_pair(draws, box_arr)
+    lam = draws.random()
 
     def viol(X, U, lam):
         Y = _above(box_arr, X, U)
         mid = lam[:, None] * X + (1.0 - lam[:, None]) * Y
         return lam * value(X) + (1.0 - lam) * value(Y) - value(mid)
 
-    return _worst(
-        "directional_concavity",
-        _blocks(viol, X, U, lam),
-        VALUE_TOL,
-        lambda i: (_pt(X[i]), _pt(_above(box_arr, X[i], U[i])), float(lam[i])),
-    )
+    def witness(X, U, lam):
+        return _pt(X), _pt(_above(box_arr, X, U)), float(lam[0])
+
+    return _fold("directional_concavity", VALUE_TOL, samples, viol, witness, X, U, lam)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -415,35 +461,35 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 def _left_at_least_right(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
     """Left >= right wherever the left derivative exists."""
-    P = _draw(gen, box_arr, samples)
 
     def gap(P):
         grad = one_sided_partials(expr, P)
         return np.where(grad.defined_left, grad.right - grad.left, -np.inf)
 
-    return _worst(
+    return _fold(
         "left_at_least_right",
-        _blocks(lambda P: _row_max(gap(P)), P),
         DERIV_TOL,
-        lambda i: (_pt(P[i]), int(np.argmax(_row(gap, i, P)))),
+        samples,
+        lambda P: _row_max(gap(P)),
+        lambda P: (_pt(P), int(np.argmax(gap(P)))),
+        _Draws(gen, samples).points(box_arr),
     )
 
 
 def _derivative_monotone(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
     """Right derivatives do not increase along positive directions."""
-    X, U = _ordered_pair(box_arr, samples, gen)
 
     def diff(X, U):
         Y = _above(box_arr, X, U)
         return one_sided_partials(expr, Y).right - one_sided_partials(expr, X).right
 
-    return _worst(
+    return _fold(
         "derivative_monotone",
-        _blocks(lambda X, U: _row_max(diff(X, U)), X, U),
         DERIV_TOL,
-        lambda i: (
-            _pt(X[i]), _pt(_above(box_arr, X[i], U[i])), int(np.argmax(_row(diff, i, X, U)))
-        ),
+        samples,
+        lambda X, U: _row_max(diff(X, U)),
+        lambda X, U: (_pt(X), _pt(_above(box_arr, X, U)), int(np.argmax(diff(X, U)))),
+        *_ordered_pair(_Draws(gen, samples), box_arr),
     )
 
 

@@ -298,22 +298,22 @@ _CSV_BLOCK_ROWS = 1 << 15
 def _write_csv_rows(stream, columns: Sequence[np.ndarray]) -> None:
     """Write equal-length float64 ``columns`` as CSV rows of ``repr(float)`` fields.
 
-    A sample grid has few distinct values per column, so within each block
-    of rows a column is formatted once per distinct float64 bit pattern and
-    the strings are gathered back by index.  Bit patterns, not values, keep
-    ``-0.0`` apart from ``0.0``.  Blocks keep memory flat in the row count.
+    ``sample`` hands over one block of at most ``_CSV_BLOCK_ROWS`` rows at a
+    time.  A sample grid has few distinct values per column, so a column is
+    formatted once per distinct float64 bit pattern and the strings are
+    gathered back by index.  Bit patterns, not values, keep ``-0.0`` apart
+    from ``0.0``.
     """
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = []
-        for column in columns:
-            part = np.asarray(column[start : start + _CSV_BLOCK_ROWS], dtype=np.float64)
-            bits, index = np.unique(part.view(np.int64), return_inverse=True)
-            strings = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-            block.append(strings[index].tolist())
-        stream.write("\n".join(map(",".join, zip(*block))) + "\n")
+    block = []
+    for column in columns:
+        bits, index = np.unique(np.asarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
+        strings = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        block.append(strings[index].tolist())
+    stream.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _cmd_sample(job: _Job, args) -> int:
+    """Evaluate the grid and write ``sample.csv`` one block of ``_CSV_BLOCK_ROWS`` rows at a time."""
     expr = _load_expr(job, args.expr)
     if expr.dim != 2:
         raise ConfigError("sample emits 2-D plot data; the expression must have dim 2")
@@ -323,24 +323,19 @@ def _cmd_sample(job: _Job, args) -> int:
     resolution = job.grid[0] if job.grid else 32
     xs = np.linspace(0.0, 1.25 * box_x, resolution + 1)
     ys = np.linspace(0.0, 1.25 * box_y, resolution + 1)
-    points = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
-    values = eval_at(expr, points)
-    grad = one_sided_partials(expr, points)
-    columns = [
-        points[:, 0],
-        points[:, 1],
-        values,
-        grad.left[:, 0],
-        grad.right[:, 0],
-        grad.left[:, 1],
-        grad.right[:, 1],
-    ]
+    rows = len(xs) * len(ys)
     job.out.mkdir(parents=True, exist_ok=True)
     path = job.out / "sample.csv"
     with path.open("w", newline="\n") as stream:
         stream.write("x,y,f,fx_left,fx_right,fy_left,fy_right\n")
-        _write_csv_rows(stream, columns)
-    _emit(job, {"sample": {"file": path.name, "rows": len(points)}}, [f"wrote {path}"])
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            k = np.arange(start, min(start + _CSV_BLOCK_ROWS, rows))
+            # rows run over y within x
+            points = np.column_stack([xs[k // len(ys)], ys[k % len(ys)]])
+            grad = one_sided_partials(expr, points)
+            left, right = grad.left.T, grad.right.T
+            _write_csv_rows(stream, [*points.T, eval_at(expr, points), left[0], right[0], left[1], right[1]])
+    _emit(job, {"sample": {"file": path.name, "rows": rows}}, [f"wrote {path}"])
     return 0
 
 

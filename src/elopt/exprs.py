@@ -179,6 +179,10 @@ class Linear(ELExpr):
         return np.asarray(self.c, dtype=float)
 
     def _values(self, X):
+        # numpy computes a one-row product as a dot product, whose bits can
+        # differ from the same row of a batch; two rows take the batch's path.
+        if len(X) == 1:
+            return (np.concatenate([X, X]) @ self._c)[:1]
         return X @ self._c
 
     def _partials(self, X):

@@ -50,7 +50,6 @@ __all__ = [
     "TPoint",
     "SurfaceValidationReport",
     "Surface",
-    "bisect_decreasing",
 ]
 
 SHAPE_LINEAR = "linear"
@@ -75,7 +74,7 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
-def bisect_decreasing(
+def _bisect_decreasing(
     fn: Callable[[float], float],
     lo: float,
     hi: float,
@@ -274,7 +273,7 @@ class Curve2D:
         # Flip the sign so that the bisected function decreases; negation is
         # exact, so the midpoints are those of the unflipped search.
         sign = 1.0 if g0 > 0.0 else -1.0
-        t_x = bisect_decreasing(lambda x: sign * (float(self.alpha_prime(x)) + 1.0), 0.0, self.a, 0.0)
+        t_x = _bisect_decreasing(lambda x: sign * (float(self.alpha_prime(x)) + 1.0), 0.0, self.a, 0.0)
         return TPoint(t_x=t_x, t_y=float(self.alpha(t_x)))
 
     def normal_at(self, x: float) -> np.ndarray:

@@ -365,19 +365,28 @@ def test_draw_matches_uniform(box):
     assert gen.bit_generator.state == ref.bit_generator.state
 
 
-def test_blocks_and_rows_never_compute_on_one_row(monkeypatch):
-    # numpy's one-row matrix product is a dot product, whose bits can differ
-    monkeypatch.setattr(analysis, "_BLOCK", 7)
-    for n in (0, 1, 2, 7, 8, 9, 15, 7 * 40 + 1):
-        sizes = analysis._blocks(lambda a: np.full(len(a), len(a)), np.arange(n))
-        assert len(sizes) == n
-        assert n < 2 or 2 <= sizes.min() and sizes.max() <= 8
-    X = np.random.default_rng(3).uniform(0.0, 1.7, (7 * 40 + 1, 2))
-    c = np.array([0.7, 1.3])
-    whole = X @ c
-    assert analysis._blocks(lambda X: X @ c, X).tobytes() == whole.tobytes()
-    rows = [analysis._row(lambda X: X @ c, i, X) for i in range(len(X))]
-    assert np.array(rows).tobytes() == whole.tobytes()
+@pytest.mark.parametrize("box", [(1.5, 1.5), (0.7, 2.3, 1.1)])
+@pytest.mark.parametrize("block", [7, 1000, 65_536])
+def test_block_draws_match_full_length_draws(box, block, monkeypatch):
+    # Odd row counts leave half of a 64-bit draw buffered after integers().
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    box_arr = np.asarray(box)
+    n, samples = box_arr.size, 2 * block + 5
+    ref, gen = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(9))) for _ in range(2))
+    want = [
+        analysis._draw(ref, box_arr, samples),
+        ref.integers(0, n, samples),
+        ref.random((samples, n)),
+        ref.random(samples),
+    ]
+    draws = analysis._Draws(gen, samples)
+    lazy = [draws.points(box_arr), draws.integers(n), draws.random(n), draws.random()]
+    spans = [(0, block), (block, 2 * block), (2 * block, samples)]
+    for rows, full in zip(lazy, want):
+        got = np.concatenate([rows(lo, hi) for lo, hi in spans])
+        assert got.dtype == full.dtype and _bits(got) == _bits(full)
+    assert ref.bit_generator.state["has_uint32"] == 1
+    assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class _Rising(ConvexPlateau):
@@ -415,6 +424,38 @@ def test_reports_do_not_depend_on_the_block_size(qc, monkeypatch):
         assert repr(got) == repr(report(expr, samples, samples))
 
 
+def test_block_size_never_changes_a_report(qc, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cases = {
+        "plateau": (ConvexPlateau(qc), (1.2, 1.2)),
+        "rising": (_Rising(qc), (1.2, 1.2)),
+        "product": (lambda p: p[0] * p[1], (1.2, 1.2)),
+        "3-D linear": (Scale(0.8, TruncateMin(2.5, Linear((0.7, 1.3, 2.1)))), (1.1, 0.9, 1.3)),
+    }
+    seen = set()
+
+    def report(case, samples, seed, block):
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        fn, box = cases[case]
+        return check_el(fn, box, samples=samples, seed=seed)
+
+    @hypothesis.settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(
+        case=st.sampled_from(sorted(cases)),
+        samples=st.integers(1, 3000),
+        block=st.integers(2, 700),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(case, samples, block, seed):
+        seen.add(case)
+        whole = report(case, samples, seed, samples)
+        assert repr(report(case, samples, seed, block)) == repr(whole)
+
+    check()
+    assert seen == set(cases)
+
+
 def test_check_el_peak_memory_stays_blockwise(qc, monkeypatch):
     # Whole-array evaluation peaked at about 35 MiB here; blocks keep the
     # temporaries of the one running property at 65,536 rows.
@@ -427,3 +468,16 @@ def test_check_el_peak_memory_stays_blockwise(qc, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 28 * 2**20
+
+
+def test_check_el_memory_does_not_grow_with_the_samples(qc, monkeypatch):
+    # Full-length draws peaked at 20.6 MiB here; 65,536 samples (one block)
+    # peak at about 8.5 MiB.
+    monkeypatch.setattr(analysis, "_available_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        assert check_el(ConvexPlateau(qc), (1.5, 1.5), samples=300_000, seed=0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20

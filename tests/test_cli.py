@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from elopt import (
     one_sided_partials,
     solve_lp,
 )
+import elopt.cli as cli
 from elopt.cli import _CSV_BLOCK_ROWS, _write_csv_rows, main
 from elopt.serialize import dumps, expr_from_dict, expr_to_dict, surface_from_dict, surface_to_dict
 from helpers import csv_rows_reference, hyperbola_through
@@ -301,6 +303,35 @@ def test_sample_csv_matches_per_field_repr(tmp_path, case):
                grad.left[:, 0], grad.right[:, 0], grad.left[:, 1], grad.right[:, 1]]
     expected = CSV_HEADER + csv_rows_reference(columns)
     assert (out / "sample.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_sample_csv_does_not_depend_on_the_block_size(tmp_path, case, monkeypatch):
+    surface_doc, construction = SAMPLE_CASES[case]
+    cfg = write_config(tmp_path, surface_doc, construction=construction)
+
+    def csv(block):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+        out = tmp_path / f"plots{block}"
+        assert main(["--config", cfg, "--out", str(out), "--grid", "64", "sample"]) == 0
+        return (out / "sample.csv").read_bytes()
+
+    whole = csv(65 * 65)
+    for block in (1000, 65 * 65 - 1):  # the second leaves a one-row block
+        assert csv(block) == whole
+
+
+def test_sample_memory_does_not_grow_with_the_grid(tmp_path, capsys):
+    # Evaluating all 401 x 401 points at once peaked at 18.4 MiB here; a
+    # grid of one block's size (181 x 181) peaks at about 10.6 MiB.
+    cfg = write_config(tmp_path, QC_SURFACE)
+    tracemalloc.start()
+    try:
+        assert main(["--config", cfg, "--out", str(tmp_path), "--grid", "400", "sample"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
 
 
 def test_csv_writer_keeps_every_bit_pattern_apart(tmp_path):

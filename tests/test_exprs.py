@@ -114,6 +114,16 @@ def test_batch_matches_scalar_evaluation(qc):
     assert np.array_equal(g.right[7], g0.right)
 
 
+@pytest.mark.parametrize("c", [(0.7, 1.3), (0.7, 1.3, 2.1)])
+def test_linear_gives_one_point_the_bits_of_a_batch(c):
+    # numpy's one-row matrix product is a dot product; taken alone, about
+    # one point in five (2-D) or ten (3-D) here differed from its batch row.
+    pts = np.random.default_rng(3).uniform(0.0, 1.7, (2000, len(c)))
+    for expr in (Linear(c), TruncateMin(2.5, Linear(c)), Scale(0.8, TruncateMin(2.5, Linear(c)))):
+        singles = np.array([eval_at(expr, p) for p in pts])
+        assert singles.tobytes() == eval_at(expr, pts).tobytes()
+
+
 # ----------------------------------------------------- piecewise construction
 
 def test_shape_flag_enforced(qc, qcc):

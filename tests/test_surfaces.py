@@ -9,9 +9,8 @@ from elopt import (
     HyperbolaCurve,
     LineCurve,
     QuadraticCurve,
-    bisect_decreasing,
 )
-from elopt.surfaces import SLOPE_MAX
+from elopt.surfaces import SLOPE_MAX, _bisect_decreasing
 from helpers import hyperbola_through, qc_beta, qcc_beta
 
 
@@ -50,7 +49,7 @@ def test_beta_inverts_alpha_densely(qc, qcc):
 
 def test_generic_bisection_agrees_with_closed_form_inverse(qc):
     for y in (0.05, 0.2, 0.375, 0.8):
-        x = bisect_decreasing(lambda v: float(qc.alpha(v)), 0.0, qc.a, y)
+        x = _bisect_decreasing(lambda v: float(qc.alpha(v)), 0.0, qc.a, y)
         assert x == pytest.approx(float(qc.beta(y)), abs=1e-9)
 
 

@@ -367,9 +367,8 @@ def test_draw_matches_uniform(box):
 
 @pytest.mark.parametrize("box", [(1.5, 1.5), (0.7, 2.3, 1.1)])
 @pytest.mark.parametrize("block", [7, 1000, 65_536])
-def test_block_draws_match_full_length_draws(box, block, monkeypatch):
+def test_block_draws_match_full_length_draws(box, block):
     # Odd row counts leave half of a 64-bit draw buffered after integers().
-    monkeypatch.setattr(analysis, "_BLOCK", block)
     box_arr = np.asarray(box)
     n, samples = box_arr.size, 2 * block + 5
     ref, gen = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(9))) for _ in range(2))
@@ -471,8 +470,8 @@ def test_check_el_peak_memory_stays_blockwise(qc, monkeypatch):
 
 
 def test_check_el_memory_does_not_grow_with_the_samples(qc, monkeypatch):
-    # Full-length draws peaked at 20.6 MiB here; 65,536 samples (one block)
-    # peak at about 8.5 MiB.
+    # Full-length draws peaked at about 20 MiB in this test; 65,536 samples
+    # (one block) peak at about 9 MiB.
     monkeypatch.setattr(analysis, "_available_cpus", lambda: 1)
     tracemalloc.start()
     try:

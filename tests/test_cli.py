@@ -322,8 +322,8 @@ def test_sample_csv_does_not_depend_on_the_block_size(tmp_path, case, monkeypatc
 
 
 def test_sample_memory_does_not_grow_with_the_grid(tmp_path, capsys):
-    # Evaluating all 401 x 401 points at once peaked at 18.4 MiB here; a
-    # grid of one block's size (181 x 181) peaks at about 10.6 MiB.
+    # Evaluating all 401 x 401 points at once peaked at about 18 MiB in this
+    # test; a grid of one block's size (181 x 181) peaks at about 11 MiB.
     cfg = write_config(tmp_path, QC_SURFACE)
     tracemalloc.start()
     try:
@@ -346,7 +346,8 @@ def test_csv_writer_keeps_every_bit_pattern_apart(tmp_path):
                np.full(rows, np.nan)]
     path = tmp_path / "rows.csv"
     with path.open("w", newline="\n") as stream:
-        _write_csv_rows(stream, columns)
+        for start in range(0, rows, _CSV_BLOCK_ROWS):  # as sample hands them over
+            _write_csv_rows(stream, [column[start : start + _CSV_BLOCK_ROWS] for column in columns])
     assert path.read_bytes() == csv_rows_reference(columns).encode()
 
 

@@ -18,13 +18,15 @@ and the cost of the matching construction.
 Sampling is split into independent substreams derived from the master seed
 (one per property), so reports are bit-reproducible.  ``check_el`` fans the
 properties out over up to one thread per available CPU (numpy releases the
-interpreter lock inside its array loops) and collects them in a fixed order,
-so the report does not depend on the worker count.  A sampled property draws
-its points and computes its violations one row block of ``_BLOCK`` rows at a
-time (``_Draws``, ``_fold``), so its memory stays one block long.  Each block
+interpreter lock inside its array loops), starts them longest first and
+collects them in a fixed order, so the report depends on neither the worker
+count nor the start order.  A sampled property draws its points and computes
+its violations one row block of ``_BLOCK`` (16,384) rows at a time
+(``_Draws``, ``_fold``), so its memory stays one block long.  Each block
 draws exactly the rows of the full-length arrays, every step is row-wise, and
 the worst violation folds over the blocks by ``np.argmax``'s rules, so the
-report does not depend on the block size either.
+report does not depend on the block size either.  Blocks this small pay off
+because an expression call's fixed cost is a few tens of microseconds.
 ``lp_sweep`` builds the grid LPs of an ``m`` sweep on the calling thread,
 then solves them on the same pool, largest ``m`` first, and returns them in
 sweep order.
@@ -84,7 +86,7 @@ LIMIT_TOL = 1e-6
 _FD_POINTS = 256
 _LIMIT_POINTS = 32
 # Rows per block of a sampled property.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 # Substream k of the master seed drives property k, whether or not it runs.
 _PROPERTIES = (
@@ -98,6 +100,19 @@ _PROPERTIES = (
     "derivative_monotone",
     "fd_agreement",
     "derivative_limits",
+)
+# The sampled properties in the order their tasks start: most evaluations
+# per sample first, so on two workers the longest task does not start last.
+_LONGEST_FIRST = (
+    "dr_coordinate",
+    "derivative_monotone",
+    "dr_general",
+    "submodular",
+    "directional_concavity",
+    "left_at_least_right",
+    "monotone",
+    "derivative_limits",
+    "fd_agreement",
 )
 
 
@@ -206,10 +221,11 @@ def check_el(
     the derivative-based checks (left >= right, derivative monotonicity,
     finite-difference agreement, one-sided derivative limits) run only for
     expression nodes.  Every property after ``pointed`` is one task with its
-    own generator; the tasks run on up to one thread per available CPU and
-    are reported in the fixed order of ``_PROPERTIES``, so identical seeds
-    give bit-identical reports.  A plain callable must therefore be safe to
-    call from several threads at once.
+    own generator; the tasks run on up to one thread per available CPU,
+    started longest first (``_LONGEST_FIRST``), and are reported in the
+    fixed order of ``_PROPERTIES``, so identical seeds give bit-identical
+    reports.  A plain callable must therefore be safe to call from several
+    threads at once.
     """
     box_arr = np.asarray(box, dtype=float)
     if box_arr.ndim != 1 or box_arr.size == 0 or not np.all(box_arr > 0.0):
@@ -241,7 +257,9 @@ def check_el(
             partial(_fd_check, fn, box_arr),
             partial(_limit_check, fn, box_arr),
         ]
-    checks += _run_tasks([partial(task, gen) for task, gen in zip(tasks, gens[1:])])
+    names = _PROPERTIES[1 : 1 + len(tasks)]
+    order = sorted(range(len(tasks)), key=lambda i: _LONGEST_FIRST.index(names[i]))
+    checks += _run_tasks([partial(task, gen) for task, gen in zip(tasks, gens[1:])], order)
 
     return ELReport(
         passed=all(c.passed for c in checks),

@@ -292,7 +292,7 @@ def _cmd_report(job: _Job, args) -> int:
     return 0
 
 
-_CSV_BLOCK_ROWS = 1 << 15
+_CSV_BLOCK_ROWS = 1 << 14
 
 
 def _write_csv_rows(stream, columns: Sequence[np.ndarray]) -> None:

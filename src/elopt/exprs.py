@@ -90,28 +90,77 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
         raise DomainError(f"expected a point or a batch of points, got ndim={arr.ndim}")
     if batch.shape[1] != dim:
         raise DomainError(f"dimension mismatch: expression has dim {dim}, point has {batch.shape[1]}")
-    if not np.all(np.isfinite(batch)):
+    if not np.isfinite(batch).all():
         raise DomainError("point has non-finite coordinates")
-    if np.any(batch < 0.0):
+    if (batch < 0.0).any():
         raise DomainError("point outside the non-negative orthant")
     return batch, scalar
 
 
-def _on_or_above(v, w):
-    """``(sx, sy=0) -> mask`` of ``v`` on or above ``w``, a tie (``|v - w| <= tol``) going towards the queried side.
+def _on_or_above(v, w, s: int, ties=None) -> np.ndarray:
+    """Mask of ``v`` on or above ``w``, a tie (``|v - w| <= tol``) going up, or down when ``s < 0``.
 
-    A queried side moves along one axis at most, so ``sx or sy`` is its sign.
+    With ``ties``, a boolean row mask, the rows that tie are ORed into it.
     """
-    up, down = ~(v < w - _TIE_TOL), v > w + _TIE_TOL
-    return lambda sx, sy=0: down if (sx or sy) < 0 else up
+    if s < 0:
+        return v > w + _TIE_TOL
+    up = v >= w - _TIE_TOL
+    if ties is not None:
+        ties |= up & (v <= w + _TIE_TOL)
+    return up
 
 
-def _select(default, *cases):
-    """Piece codes (int8): the code of the one mask of ``cases`` that holds, else ``default``."""
-    out = np.full(cases[0][0].shape, default, dtype=np.int8)
-    for mask, code in cases:
-        out += mask.view(np.int8) * np.int8(code - default)
-    return out
+def _pick(mask, on: int, below: int) -> np.ndarray:
+    """Piece codes (int8): ``on`` where ``mask`` holds, else ``below``."""
+    return below + mask.view(np.int8) * (on - below)
+
+
+class _Points:
+    """A batch of 2-D points and the curve there, each computed once, when first used.
+
+    ``alpha`` and ``beta`` take the curve at the coordinates clamped into
+    ``[0, a]`` and ``[0, b]``.  ``seam_alpha`` and ``seam_beta`` clamp at
+    ``reach`` instead, which passes an intercept only where the seam lies
+    within ``_TIE_TOL`` of it: the seam layout compares its strips with the
+    curve itself, and a strip reaches ``_TIE_TOL`` past the seam.  So the
+    unchecked evaluators never see an argument further out than that.
+    """
+
+    def __init__(self, curve: Curve2D, x, y, reach: tuple):
+        self.curve, self.x, self.y, self.reach = curve, x, y, reach
+
+    def take(self, rows) -> "_Points":
+        return _Points(self.curve, self.x[rows], self.y[rows], self.reach)
+
+    @cached_property
+    def _x_in(self):
+        return np.minimum(self.x, self.curve.a)
+
+    @cached_property
+    def alpha(self):
+        return self.curve._alpha_in(self._x_in)
+
+    @cached_property
+    def beta(self):
+        return self.curve._beta_in(np.minimum(self.y, self.curve.b))
+
+    @cached_property
+    def seam_alpha(self):
+        end = self.reach[0]
+        return self.alpha if end == self.curve.a else self.curve._alpha_in(np.minimum(self.x, end))
+
+    @cached_property
+    def seam_beta(self):
+        end = self.reach[1]
+        return self.beta if end == self.curve.b else self.curve._beta_in(np.minimum(self.y, end))
+
+    @cached_property
+    def alpha_prime(self):
+        return self.curve.alpha_prime(self._x_in)
+
+    @cached_property
+    def beta_prime(self):
+        return 1.0 / self.curve.alpha_prime(self.beta)
 
 
 class _Layout(NamedTuple):
@@ -149,6 +198,7 @@ class ELExpr:
         raise NotImplementedError
 
     def _partials(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(left, right)`` partials of the batch; one array may stand for both, and callers never write to them."""
         raise NotImplementedError
 
     def _sup(self) -> float:
@@ -328,16 +378,16 @@ class Clamp(ELExpr):
         return eval_at(self.inner, self._at)
 
 
-def _neg_alpha_prime(f, x):
-    return -f._alpha_prime_cl(x)
+def _neg_alpha_prime(f, p):
+    return -p.alpha_prime
 
 
-def _neg_beta_prime(f, y):
-    return -f._beta_prime_cl(y)
+def _neg_beta_prime(f, p):
+    return -p.beta_prime
 
 
-def _x_plus_y(f, x, y):
-    return x + y
+def _x_plus_y(f, p):
+    return p.x + p.y
 
 
 def _group_pieces(table):
@@ -345,9 +395,8 @@ def _group_pieces(table):
 
     Each pass is ``(pieces, formula)``: pieces sharing a formula are evaluated
     together and zero entries are skipped.  A formula is a constant or a
-    function of the node and the selected points' coordinates: ``(node, x, y)``
-    for values, ``(node, x)`` for d/dx and ``(node, y)`` for d/dy (every piece
-    is a sum of one-variable terms).
+    function ``(node, points)`` of the node and the batch's :class:`_Points`
+    that returns the column on a whole region, of which a pass keeps its rows.
     """
     columns = []
     for column in range(3):
@@ -365,16 +414,19 @@ class _CurveConstruction(ELExpr):
     A node checks its curve's shape and validity when built, then resolves
     ``_layout`` once: the seam or a single-branch fallback, the supremum of
     the range and the strip a fallback keeps.  It classifies points into
-    pieces (``_classify``) and lists each piece's value and partials in
+    pieces (``_regions``) and lists each piece's value and partials in
     ``_PASSES`` (see :func:`_group_pieces`); pieces missing from the table
     sit on the plateau, with zero partials.
 
-    Each batch is classified once: the comparisons against the seam
-    coordinates and against the curve do not depend on the queried side, so
-    they are made once per call, and each side (``(0, 0)`` for values, the
-    four one-sided ones for partials) is resolved from those shared masks.
-    The tie rule is the same for every side: within ``_TIE_TOL`` of a
-    boundary a point belongs to the region on the queried side of it.
+    A batch is split once per call into regions by the comparisons with the
+    seam coordinates: past both (the plateau), the two strips, and the
+    region below the seam.  A strip is compared with the curve on its own
+    rows only, and its pieces' formulas reuse the curve values of that
+    comparison.  The tie rule is the same for every side: within
+    ``_TIE_TOL`` of a boundary a point belongs to the region on the queried
+    side of it.  A tie goes up unless the side steps down an axis, so values
+    and both right partials share one split, and a left partial is split
+    again only on the rows where some comparison tied.
     """
 
     curve: Curve2D
@@ -415,29 +467,26 @@ class _CurveConstruction(ELExpr):
                 return _Layout(mode, math.nan, math.nan, sup(self.curve), along_x)
         raise ConstructionError(self._NO_SEAM)
 
+    @cached_property
+    def _reach(self) -> tuple:
+        """Clamp ends of :class:`_Points`' seam curve: the seam plus ``_TIE_TOL``, where that passes the intercept."""
+        a, b = self.curve.intercepts()
+        lay = self._layout
+        if lay.mode != "full":
+            return a, b
+        return max(a, lay.t_x + _TIE_TOL), max(b, lay.t_y + _TIE_TOL)
+
+    def _points(self, x, y) -> _Points:
+        return _Points(self.curve, x, y, self._reach)
+
     def _seam_plateau(self, t: TPoint) -> float:
         return t.t_x + t.t_y
 
     def _sup(self) -> float:
         return self._layout.sup
 
-    # Values of the curve and of its derivatives, with the argument clamped
-    # into the curve's parameter range (the classifier only selects pieces
-    # whose formulas are constant beyond the clamp).
-    def _alpha_cl(self, x):
-        return self.curve.alpha(np.minimum(x, self.curve.a))
-
-    def _beta_cl(self, y):
-        return self.curve.beta(np.minimum(y, self.curve.b))
-
-    def _alpha_prime_cl(self, x):
-        return self.curve.alpha_prime(np.minimum(x, self.curve.a))
-
-    def _beta_prime_cl(self, y):
-        return self.curve.beta_prime(np.minimum(y, self.curve.b))
-
-    def _clamped_test(self, x, y, along_x: bool):
-        """``(sx, sy) -> mask`` of the point on or above the curve clamped into its range.
+    def _clamped_test(self, p: _Points, along_x: bool, sx: int, sy: int, ties):
+        """Mask of the points on or above the curve clamped into its range.
 
         Along x, ``x`` is compared with ``beta(min(y, b))``; along y, ``y``
         with ``alpha(min(x, a))``.  Past the intercept the clamped curve is
@@ -445,92 +494,82 @@ class _CurveConstruction(ELExpr):
         the side queried along the compared axis.
         """
         if along_x:
-            u, v, end, level = x, y, self.curve.b, self._beta_cl
+            u, v, end, level, su, sv = p.x, p.y, self.curve.b, p.beta, sx, sy
         else:
-            u, v, end, level = y, x, self.curve.a, self._alpha_cl
-        past_end = _on_or_above(v, end)
-        on_curve = _on_or_above(u, level(v))
-        on_axis = _on_or_above(u, 0.0)
+            u, v, end, level, su, sv = p.y, p.x, self.curve.a, p.alpha, sy, sx
+        past = _on_or_above(v, end, sv, ties)
+        on_axis = _on_or_above(u, 0.0, su, ties)
+        on_curve = _on_or_above(u, level, su or sv, ties)
+        return (past & on_axis) | (~past & on_curve)
 
-        def above(sx, sy):
-            su, sv = (sx, sy) if along_x else (sy, sx)
-            past = past_end(sv)
-            return (past & on_axis(su)) | (~past & on_curve(su, sv))
+    def _strip_test(self, p: _Points, x_strip: bool, sx: int, sy: int, ties):
+        """Seam layout: mask of the points on or above the curve, read on the strip x >= t_x or y >= t_y."""
+        if x_strip:
+            return _on_or_above(p.x, p.seam_beta, sx or sy, ties)
+        return _on_or_above(p.y, p.seam_alpha, sx or sy, ties)
 
-        return above
+    def _single_test(self, p: _Points, along_x: bool, sx: int, sy: int, ties):
+        """Single-branch layout: mask of the points on or above the curve clamped into its range."""
+        return self._clamped_test(p, along_x, sx, sy, ties)
 
-    def _strip_test(self, x, y, x_strip: bool):
-        """Seam layout: ``(sx, sy) -> mask`` of the strip points (x >= t_x or y >= t_y) on or above the curve."""
-        return _on_or_above(x, self.curve.beta(y)) if x_strip else _on_or_above(y, self.curve.alpha(x))
+    def _regions(self, p: _Points, sx: int, sy: int, ties=None) -> list:
+        """``(rows, points, piece codes)`` of each region of the batch, ties resolved towards the side ``(sx, sy)``.
 
-    def _single_test(self, x, y, along_x: bool):
-        """Single-branch layout: ``(sx, sy) -> mask`` of the points on or above the curve clamped into its range."""
-        return self._clamped_test(x, y, along_x)
-
-    def _classify(self, x, y):
-        """``(sx, sy) -> piece codes`` of the batch, ties resolved towards the queried side."""
+        ``rows`` is None for the whole batch.  The plateau past both seam
+        coordinates is left out: its rows keep ``_eval``'s default.  With
+        ``ties``, the rows where some comparison tied are ORed into it.
+        """
         lay = self._layout
-        if lay.mode == "full":
-            return self._classify_seam(x, y)
-        above = self._single_test(x, y, lay.along_x)
-        on, below = self._SEAM_PIECES[1 if lay.along_x else 2]
-        return lambda sx, sy: _select(below, (above(sx, sy), on))
+        if lay.mode != "full":
+            on, below = self._SEAM_PIECES[1 if lay.along_x else 2]
+            return [(None, p, _pick(self._single_test(p, lay.along_x, sx, sy, ties), on, below))]
+        inner, x_pieces, y_pieces = self._SEAM_PIECES
+        past_x = _on_or_above(p.x, lay.t_x, sx, ties)
+        past_y = _on_or_above(p.y, lay.t_y, sy, ties)
+        regions = []
+        for mask, x_strip, (on, below) in ((past_x & ~past_y, True, x_pieces), (past_y & ~past_x, False, y_pieces)):
+            rows = mask.nonzero()[0]
+            if rows.size:
+                q = p.take(rows)
+                tied = None if ties is None else np.zeros(rows.size, dtype=bool)
+                regions.append((rows, q, _pick(self._strip_test(q, x_strip, sx, sy, tied), on, below)))
+                if ties is not None:
+                    ties[rows] |= tied
+        rows = (~(past_x | past_y)).nonzero()[0]
+        if rows.size:
+            regions.append((rows, p.take(rows), np.full(rows.size, inner, dtype=np.int8)))
+        return regions
 
-    def _classify_seam(self, x, y):
-        """Full layout: flat past both seam coordinates, each strip split at the curve."""
-        inner, (x_on, x_below), (y_on, y_below) = self._SEAM_PIECES
-        lay = self._layout
-        past_x = _on_or_above(x, lay.t_x)
-        past_y = _on_or_above(y, lay.t_y)
-        # Points that lie in a strip for some side; the curve is compared there once.
-        in_x = np.flatnonzero(past_x(+1) & ~past_y(-1))
-        in_y = np.flatnonzero(past_y(+1) & ~past_x(-1))
-        x_above = self._strip_test(x[in_x], y[in_x], True)
-        y_above = self._strip_test(x[in_y], y[in_y], False)
-
-        def piece(sx, sy):
-            px, py = past_x(sx), past_y(sy)
-            ax = np.zeros(x.shape, dtype=bool)
-            ax[in_x] = x_above(sx, sy)
-            ay = np.zeros(x.shape, dtype=bool)
-            ay[in_y] = y_above(sx, sy)
-            xs, ys = px & ~py, py & ~px
-            return _select(
-                inner,
-                (px & py, _FLAT),
-                (xs & ax, x_on),
-                (xs & ~ax, x_below),
-                (ys & ay, y_on),
-                (ys & ~ay, y_below),
-            )
-
-        return piece
-
-    def _eval(self, column: int, piece, x, y) -> np.ndarray:
-        """Column 0 (value), 1 (d/dx) or 2 (d/dy) of the piece table at classified points."""
-        out = np.full(x.shape, self._layout.sup if column == 0 else 0.0)
-        coords = ((x, y), (x,), (y,))[column]
-        for codes, formula in self._PASSES[column]:
-            m = piece == codes[0]
-            for code in codes[1:]:
-                m |= piece == code
-            at = np.flatnonzero(m)
-            if at.size:
-                out[at] = formula(self, *(c[at] for c in coords)) if callable(formula) else formula
+    def _eval(self, column: int, regions, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with column 0 (value), 1 (d/dx) or 2 (d/dy) of the piece table on the ``regions``."""
+        out.fill(self._layout.sup if column == 0 else 0.0)
+        for rows, q, piece in regions:
+            for codes, formula in self._PASSES[column]:
+                m = piece == codes[0]
+                for code in codes[1:]:
+                    m |= piece == code
+                at = m.nonzero()[0]
+                if at.size:
+                    out[at if rows is None else rows[at]] = formula(self, q)[at] if callable(formula) else formula
         return out
 
     def _values(self, X):
-        x, y = X[:, 0], X[:, 1]
-        return self._eval(0, self._classify(x, y)(0, 0), x, y)
+        return self._eval(0, self._regions(self._points(X[:, 0], X[:, 1]), 0, 0), np.empty(len(X)))
 
     def _partials(self, X):
-        x, y = X[:, 0], X[:, 1]
-        piece = self._classify(x, y)
-        left_x = self._eval(1, piece(-1, 0), x, y)
-        right_x = self._eval(1, piece(+1, 0), x, y)
-        left_y = self._eval(2, piece(0, -1), x, y)
-        right_y = self._eval(2, piece(0, +1), x, y)
-        return np.stack([left_x, left_y], axis=1), np.stack([right_x, right_y], axis=1)
+        p = self._points(X[:, 0], X[:, 1])
+        ties = np.zeros(len(X), dtype=bool)
+        regions = self._regions(p, 0, 0, ties)
+        left = right = np.empty(X.shape)
+        self._eval(1, regions, right[:, 0])
+        self._eval(2, regions, right[:, 1])
+        at = ties.nonzero()[0]
+        if at.size:
+            q = p.take(at)
+            left = right.copy()
+            left[at, 0] = self._eval(1, self._regions(q, -1, 0), np.empty(at.size))
+            left[at, 1] = self._eval(2, self._regions(q, 0, -1), np.empty(at.size))
+        return left, right
 
 
 @dataclass(frozen=True)
@@ -553,10 +592,10 @@ class ConvexPlateau(_CurveConstruction):
 
     _required_shape = SHAPE_CONVEX
     _PASSES = _group_pieces({
-        _XSTRIP: (lambda f, x, y: f._layout.sup + x - f._beta_cl(y), 1.0, _neg_beta_prime),
-        _YSTRIP: (lambda f, x, y: f._layout.sup + y - f._alpha_cl(x), _neg_alpha_prime, 1.0),
+        _XSTRIP: (lambda f, p: f._layout.sup + p.x - p.beta, 1.0, _neg_beta_prime),
+        _YSTRIP: (lambda f, p: f._layout.sup + p.y - p.alpha, _neg_alpha_prime, 1.0),
         _INNER: (
-            lambda f, x, y: (f.curve.a - f.curve.alpha(x)) + (f.curve.b - f.curve.beta(y)),
+            lambda f, p: (f.curve.a - p.seam_alpha) + (f.curve.b - p.seam_beta),
             _neg_alpha_prime,
             _neg_beta_prime,
         ),
@@ -583,17 +622,17 @@ class ConvexDiag(_CurveConstruction):
 
     _required_shape = SHAPE_CONVEX
     _PASSES = _group_pieces({
-        _XSTRIP: (lambda f, x, y: f._layout.sup + y - f._alpha_cl(x), _neg_alpha_prime, 1.0),
-        _YSTRIP: (lambda f, x, y: f._layout.sup + x - f._beta_cl(y), 1.0, _neg_beta_prime),
+        _XSTRIP: (lambda f, p: f._layout.sup + p.y - p.alpha, _neg_alpha_prime, 1.0),
+        _YSTRIP: (lambda f, p: f._layout.sup + p.x - p.beta, 1.0, _neg_beta_prime),
         _SUM: (_x_plus_y, 1.0, 1.0),
     })
     _NO_SEAM = "ConvexDiag needs both diagonal branches: the curve has no point with normal (1, 1)"
     _SEAM_PIECES = (_SUM, (_FLAT, _XSTRIP), (_FLAT, _YSTRIP))
 
-    def _strip_test(self, x, y, x_strip):
+    def _strip_test(self, p, x_strip, sx, sy, ties):
         # The strip x >= t_x splits where y crosses the clamped alpha(x),
         # the strip y >= t_y where x crosses the clamped beta(y).
-        return self._clamped_test(x, y, not x_strip)
+        return self._clamped_test(p, not x_strip, sx, sy, ties)
 
 
 @dataclass(frozen=True)
@@ -620,8 +659,8 @@ class ConcaveStep(_CurveConstruction):
     _required_shape = SHAPE_CONCAVE
     _PASSES = _group_pieces({
         _SUM: (_x_plus_y, 1.0, 1.0),
-        _XUP: (lambda f, x, y: y + f._beta_lin(y), 0.0, lambda f, y: 1.0 + f._beta_prime_cl(y)),
-        _YUP: (lambda f, x, y: x + f._alpha_lin(x), lambda f, x: 1.0 + f._alpha_prime_cl(x), 0.0),
+        _XUP: (lambda f, p: p.y + f._beta_lin(p), 0.0, lambda f, p: 1.0 + p.beta_prime),
+        _YUP: (lambda f, p: p.x + f._alpha_lin(p), lambda f, p: 1.0 + p.alpha_prime, 0.0),
     })
     # A single branch is bounded only where its linear tail is flat.
     _FALLBACKS = (
@@ -630,19 +669,26 @@ class ConcaveStep(_CurveConstruction):
     )
     _SEAM_PIECES = (_SUM, (_XUP, _SUM), (_YUP, _SUM))
 
-    def _beta_lin(self, y):
+    @cached_property
+    def _end_slopes(self) -> tuple:
+        """``(alpha'(a), beta'(b))``, the slopes of the linear continuations."""
+        return self.curve.alpha_prime(self.curve.a), self.curve.beta_prime(self.curve.b)
+
+    def _beta_lin(self, p: _Points):
         # Linear continuation of beta past the y-intercept (slope beta'(b)).
-        over = y - self.curve.b
-        return np.where(over <= 0.0, self._beta_cl(y), self.curve.beta_prime(self.curve.b) * over)
+        over = p.y - self.curve.b
+        return np.where(over <= 0.0, p.beta, self._end_slopes[1] * over)
 
-    def _alpha_lin(self, x):
-        over = x - self.curve.a
-        return np.where(over <= 0.0, self._alpha_cl(x), self.curve.alpha_prime(self.curve.a) * over)
+    def _alpha_lin(self, p: _Points):
+        over = p.x - self.curve.a
+        return np.where(over <= 0.0, p.alpha, self._end_slopes[0] * over)
 
-    def _single_test(self, x, y, along_x):
+    def _single_test(self, p, along_x, sx, sy, ties):
         # The linear continuation keeps beta' nonzero everywhere, so a tie
         # is always resolvable from either coordinate.
-        return _on_or_above(x, self._beta_lin(y)) if along_x else _on_or_above(y, self._alpha_lin(x))
+        if along_x:
+            return _on_or_above(p.x, self._beta_lin(p), sx or sy, ties)
+        return _on_or_above(p.y, self._alpha_lin(p), sx or sy, ties)
 
 
 def eval_at(expr: ELExpr, x):

@@ -219,11 +219,13 @@ class Curve2D:
         """Where the curve meets the axes: ``(a, b)``."""
         return (self.a, self.b)
 
-    def _snap(self, raw, arg, at_zero, at_end, end):
-        arr = np.asarray(arg, dtype=float)
-        val = np.asarray(raw, dtype=float)
-        out = np.where(arr == 0.0, at_zero, np.where(arr == end, at_end, val))
-        return float(out) if out.ndim == 0 else out
+    @staticmethod
+    def _snap(raw, arg, at_zero, at_end, end) -> np.ndarray:
+        """``raw`` (a fresh array, overwritten) with the exact intercept values where ``arg`` is 0 or ``end``."""
+        out = np.asarray(raw, dtype=float)
+        out[arg == 0.0] = at_zero
+        out[arg == end] = at_end
+        return out
 
     @staticmethod
     def _check_range(arg, limit: float, name: str) -> np.ndarray:
@@ -233,15 +235,23 @@ class Curve2D:
             raise DomainError(f"{name} outside [0, {limit}]")
         return arr
 
+    def _alpha_in(self, x: np.ndarray) -> np.ndarray:
+        """``alpha`` of an array the caller holds inside ``[0, a]``, without the range check."""
+        return self._snap(self._alpha_raw(x), x, self.b, 0.0, self.a)
+
+    def _beta_in(self, y: np.ndarray) -> np.ndarray:
+        """``beta`` of an array the caller holds inside ``[0, b]``, without the range check."""
+        return self._snap(self._beta_raw(y), y, self.a, 0.0, self.b)
+
     def alpha(self, x):
         """Height of the curve above ``x in [0, a]``; exact ``b`` at 0 and exact 0 at ``a``."""
-        arr = self._check_range(x, self.a, "x")
-        return self._snap(self._alpha_raw(arr), x, self.b, 0.0, self.a)
+        out = self._alpha_in(self._check_range(x, self.a, "x"))
+        return float(out) if out.ndim == 0 else out
 
     def beta(self, y):
         """Inverse of ``alpha`` on ``[0, b]``; exact ``a`` at 0 and exact 0 at ``b``."""
-        arr = self._check_range(y, self.b, "y")
-        return self._snap(self._beta_raw(arr), y, self.a, 0.0, self.b)
+        out = self._beta_in(self._check_range(y, self.b, "y"))
+        return float(out) if out.ndim == 0 else out
 
     def beta_prime(self, y):
         """Slope of the inverse, via ``beta'(y) = 1 / alpha'(beta(y))``."""

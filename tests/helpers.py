@@ -113,9 +113,10 @@ def cmp3(v, w, side):
 def _above_clamped(node, u, v, su, sv, inverse):
     # u against the curve clamped into its range at v (beta when ``inverse``);
     # past the intercept the level is 0 and a tie takes only u's side.
-    end, level_of = (node.curve.b, node._beta_cl) if inverse else (node.curve.a, node._alpha_cl)
+    curve = node.curve
+    end, level_of = (curve.b, curve.beta) if inverse else (curve.a, curve.alpha)
     cv = cmp3(v, end, sv)
-    level = np.where(cv >= 0, 0.0, level_of(v))
+    level = np.where(cv >= 0, 0.0, level_of(np.minimum(v, end)))
     return cmp3(u, level, su if su != 0 else np.where(cv < 0, sv, 0)) >= 0
 
 
@@ -130,9 +131,9 @@ def classify_reference(node, x, y, sx, sy):
     if lay.mode == "single_steep" and isinstance(node, ConvexPlateau):
         return np.where(_above_clamped(node, y, x, sy, sx, False), _FLAT, _YSTRIP)
     if lay.mode == "single_steep":
-        return np.where(cmp3(x, node._beta_lin(y), sx or sy) >= 0, _XUP, _SUM)
+        return np.where(cmp3(x, node._beta_lin(node._points(x, y)), sx or sy) >= 0, _XUP, _SUM)
     if lay.mode == "single_shallow":
-        return np.where(cmp3(y, node._alpha_lin(x), sy or sx) >= 0, _YUP, _SUM)
+        return np.where(cmp3(y, node._alpha_lin(node._points(x, y)), sy or sx) >= 0, _YUP, _SUM)
     cx, cy = cmp3(x, lay.t_x, sx), cmp3(y, lay.t_y, sy)
     piece = np.full(x.shape, _INNER if isinstance(node, ConvexPlateau) else _SUM)
     piece[(cx >= 0) & (cy >= 0)] = _FLAT
@@ -153,14 +154,14 @@ def classify_reference(node, x, y, sx, sy):
 def values_reference(node, X):
     """``eval_at`` of a piecewise node with the pieces of ``classify_reference``."""
     x, y = X[:, 0], X[:, 1]
-    return node._eval(0, classify_reference(node, x, y, 0, 0), x, y)
+    return node._eval(0, [(None, node._points(x, y), classify_reference(node, x, y, 0, 0))], np.empty(len(X)))
 
 
 def partials_reference(node, X):
     """``(left, right)`` one-sided partials of a piecewise node with the pieces of ``classify_reference``."""
     x, y = X[:, 0], X[:, 1]
     cols = [
-        node._eval(column, classify_reference(node, x, y, sx, sy), x, y)
+        node._eval(column, [(None, node._points(x, y), classify_reference(node, x, y, sx, sy))], np.empty(len(X)))
         for column, sx, sy in ((1, -1, 0), (2, 0, -1), (1, 1, 0), (2, 0, 1))
     ]
     left = np.where(X > 0.0, np.stack(cols[:2], axis=1), np.nan)

@@ -170,6 +170,27 @@ def test_reports_are_deterministic(qc, monkeypatch):
     assert c.passed and c != a  # witnesses move with the seed
 
 
+def test_reports_do_not_depend_on_the_start_order(qc, monkeypatch):
+    # Tasks start longest first; reversed, the two workers run the
+    # properties in other threads and in another order, and the reports
+    # stay the same.
+    monkeypatch.setattr(analysis, "_available_cpus", lambda: 2)
+    started = []
+    run_tasks = analysis._run_tasks
+    monkeypatch.setattr(analysis, "_run_tasks", lambda tasks, order: started.append(order) or run_tasks(tasks, order))
+    cases = [(ConvexPlateau(qc), (1.5, 1.5)), (lambda p: p[0] * p[1], (1.2, 1.2)), (_Rising(qc), (1.2, 1.2))]
+
+    def reports():
+        return [repr(check_el(fn, box, samples=3000, seed=5)) for fn, box in cases]
+
+    longest_first = reports()
+    # task indices follow PROPERTY_ORDER after "pointed"
+    assert started[:2] == [[2, 6, 3, 1, 4, 5, 0, 8, 7], [2, 3, 1, 4, 0]]
+    monkeypatch.setattr(analysis, "_LONGEST_FIRST", analysis._LONGEST_FIRST[::-1])
+    assert reports() == longest_first
+    assert started[3:5] == [[7, 8, 0, 5, 4, 1, 3, 6, 2], [0, 4, 1, 3, 2]]
+
+
 def test_feasibility_of_the_linear_optimum(h12):
     res = linear_opt(h12)
     rep = check_feasible(res.expr, h12, samples=1000, seed=1)
@@ -480,3 +501,17 @@ def test_check_el_memory_does_not_grow_with_the_samples(qc, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 14 * 2**20
+
+
+def test_check_el_peak_memory_is_one_small_block(qc, monkeypatch):
+    # At 65,536 rows per block this peaked at 10.7 MiB; 16,384-row blocks
+    # peak at about 5 MiB, of which 2.3 MiB is dr_coordinate's full-length
+    # coordinate draw.
+    monkeypatch.setattr(analysis, "_available_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        assert check_el(ConvexPlateau(qc), (1.5, 1.5), samples=300_000, seed=0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20

@@ -334,6 +334,19 @@ def test_sample_memory_does_not_grow_with_the_grid(tmp_path, capsys):
     assert peak < 14 * 2**20
 
 
+def test_sample_peak_memory_is_one_small_block(tmp_path, capsys):
+    # Blocks of 32,768 rows peaked at 11.6 MiB here; 16,384-row blocks peak
+    # at about 6 MiB.
+    cfg = write_config(tmp_path, QC_SURFACE)
+    tracemalloc.start()
+    try:
+        assert main(["--config", cfg, "--out", str(tmp_path), "--grid", "400", "sample"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_csv_writer_keeps_every_bit_pattern_apart(tmp_path):
     rows = 2 * _CSV_BLOCK_ROWS + 3  # two full blocks and a short one
     special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 1e300])

@@ -102,16 +102,21 @@ def test_domain_and_dimension_errors():
         Clamp((1.0, 0.0), expr)
 
 
-def test_batch_matches_scalar_evaluation(qc):
-    expr = ConvexPlateau(qc)
+def test_batch_matches_scalar_evaluation():
+    # A point alone takes the path of a one-row batch: on every piecewise
+    # node in every layout, each row of a batch holding ties and random
+    # points gets the same bits evaluated by itself.
     rng = np.random.default_rng(5)
-    pts = rng.uniform(0.0, 1.4, (64, 2))
-    batch = eval_at(expr, pts)
-    singles = np.array([eval_at(expr, p) for p in pts])
-    assert np.array_equal(batch, singles)
-    g = one_sided_partials(expr, pts)
-    g0 = one_sided_partials(expr, pts[7])
-    assert np.array_equal(g.right[7], g0.right)
+    for node_type, curve, _ in ORACLE_CASES:
+        node = node_type(curve)
+        pts = np.concatenate([tie_batch(node, rng), rng.uniform(0.0, 1.5, (64, 2)) * curve.intercepts()])
+        values = eval_at(node, pts)
+        grad = one_sided_partials(node, pts)
+        for k, point in enumerate(pts):
+            assert np.float64(eval_at(node, point)).tobytes() == values[k].tobytes()
+            g = one_sided_partials(node, point)
+            assert g.left.tobytes() == grad.left[k].tobytes()
+            assert g.right.tobytes() == grad.right[k].tobytes()
 
 
 @pytest.mark.parametrize("c", [(0.7, 1.3), (0.7, 1.3, 2.1)])

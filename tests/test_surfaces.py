@@ -207,9 +207,14 @@ def test_normals_stay_within_validated_slope_bounds(qc, qcc):
 
 
 def test_alpha_beta_domain_errors(qc):
-    with pytest.raises(DomainError):
-        qc.alpha(1.5)
-    with pytest.raises(DomainError):
-        qc.beta(-0.2)
-    with pytest.raises(DomainError):
-        qc.beta(1.1)
+    # The nodes read the curve through unchecked evaluators on clamped
+    # arguments; the public evaluators keep their range checks.
+    hyp = hyperbola_through(2.0, 0.5, 0.4)
+    for curve in (qc, hyp):
+        a, b = curve.intercepts()
+        for bad in (1.5 * a, -0.2, np.array([0.0, 0.5 * a, 1.1 * a]), np.array([0.3 * a, -1e-3])):
+            with pytest.raises(DomainError, match="^x outside"):
+                curve.alpha(bad)
+        for bad in (1.1 * b, -0.2, np.array([0.5 * b, b, 1.1 * b]), np.array([-1e-3, 0.3 * b])):
+            with pytest.raises(DomainError, match="^y outside"):
+                curve.beta(bad)

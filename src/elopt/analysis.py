@@ -25,8 +25,9 @@ its violations one row block of ``_BLOCK`` (16,384) rows at a time
 (``_Draws``, ``_fold``), so its memory stays one block long.  Each block
 draws exactly the rows of the full-length arrays, every step is row-wise, and
 the worst violation folds over the blocks by ``np.argmax``'s rules, so the
-report does not depend on the block size either.  Blocks this small pay off
-because an expression call's fixed cost is a few tens of microseconds.
+report does not depend on the block size either.  Blocks can be this small
+because an expression call costs only some tens of microseconds beyond its
+rows.
 ``lp_sweep`` builds the grid LPs of an ``m`` sweep on the calling thread,
 then solves them on the same pool, largest ``m`` first, and returns them in
 sweep order.

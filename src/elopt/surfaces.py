@@ -236,11 +236,11 @@ class Curve2D:
         return arr
 
     def _alpha_in(self, x: np.ndarray) -> np.ndarray:
-        """``alpha`` of an array the caller holds inside ``[0, a]``, without the range check."""
+        """``alpha`` of an array the caller keeps in range (up to the nodes' 1e-12 tie tolerance), unchecked."""
         return self._snap(self._alpha_raw(x), x, self.b, 0.0, self.a)
 
     def _beta_in(self, y: np.ndarray) -> np.ndarray:
-        """``beta`` of an array the caller holds inside ``[0, b]``, without the range check."""
+        """``beta`` of an array the caller keeps in range (up to the nodes' 1e-12 tie tolerance), unchecked."""
         return self._snap(self._beta_raw(y), y, self.a, 0.0, self.b)
 
     def alpha(self, x):

@@ -2,9 +2,10 @@
 
 Each builder returns a :class:`ConstructionResult` whose ``claimed_cost`` is
 computed from the surface's closed-form slopes and then cross-checked against
-``cost(expr)`` from the derivative machinery; a mismatch beyond 1e-9 is a
-build-time error, so the two independent paths guard each other.  A builder
-checks the curve's shape; the piecewise node it builds checks its validity.
+``cost(expr)`` from the derivative machinery; a mismatch beyond 1e-9, relative
+for claims above 1, is a build-time error, so the two independent paths guard
+each other.  A builder checks the curve's shape; the piecewise node it builds
+checks its validity.
 
 For curves without a point of normal (1, 1) the plateau and capped-sum
 builders fall back to their single-branch forms.  Those forms get one
@@ -73,7 +74,7 @@ def _require_shape(curve: Curve2D, expected_shape: str) -> None:
 
 def _finish(expr: ELExpr, claimed: float, scale_k: float, kind: str) -> ConstructionResult:
     got = cost(expr)
-    if abs(got - claimed) > _COST_MATCH_TOL:
+    if abs(got - claimed) > _COST_MATCH_TOL * max(1.0, abs(claimed)):
         raise ConstructionError(
             f"{kind}: cost from derivative rules ({got!r}) disagrees with the "
             f"closed-form claim ({claimed!r})"

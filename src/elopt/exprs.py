@@ -69,15 +69,6 @@ __all__ = [
 # Branch-boundary classification tolerance (absolute, on coordinates).
 _TIE_TOL = 1e-12
 
-# Piece codes shared by the three piecewise nodes.
-_FLAT = 0       # constant plateau / region above the curve
-_XSTRIP = 1     # strip x >= t_x below the curve
-_YSTRIP = 2     # strip y >= t_y below the curve
-_INNER = 3      # region with both coordinates below the seam
-_XUP = 4        # strip x >= t_x above the curve, non-flat (concave case)
-_YUP = 5        # strip y >= t_y above the curve, non-flat (concave case)
-_SUM = 6        # region where the function is x + y
-
 
 def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     """Coerce a point or an (k, n) batch of points; enforce the orthant."""
@@ -108,11 +99,6 @@ def _on_or_above(v, w, s: int, ties=None) -> np.ndarray:
     if ties is not None:
         ties |= up & (v <= w + _TIE_TOL)
     return up
-
-
-def _pick(mask, on: int, below: int) -> np.ndarray:
-    """Piece codes (int8): ``on`` where ``mask`` holds, else ``below``."""
-    return below + mask.view(np.int8) * (on - below)
 
 
 class _Points:
@@ -237,7 +223,7 @@ class Linear(ELExpr):
 
     def _partials(self, X):
         grad = np.tile(self._c, (X.shape[0], 1))
-        return grad, grad.copy()
+        return grad, grad
 
     def _sup(self):
         return math.inf
@@ -386,26 +372,18 @@ def _neg_beta_prime(f, p):
     return -p.beta_prime
 
 
-def _x_plus_y(f, p):
-    return p.x + p.y
+_X_PLUS_Y = (lambda f, p: p.x + p.y, 1.0, 1.0)
 
 
-def _group_pieces(table):
-    """Masked passes for a ``piece -> (value, d/dx, d/dy)`` table, one list per column.
-
-    Each pass is ``(pieces, formula)``: pieces sharing a formula are evaluated
-    together and zero entries are skipped.  A formula is a constant or a
-    function ``(node, points)`` of the node and the batch's :class:`_Points`
-    that returns the column on a whole region, of which a pass keeps its rows.
-    """
-    columns = []
-    for column in range(3):
-        passes: dict = {}
-        for code, row in table.items():
-            if row[column] != 0.0:
-                passes.setdefault(row[column], []).append(code)
-        columns.append([(codes, formula) for formula, codes in passes.items()])
-    return columns
+def _split(mask, on, below) -> list:
+    """``(rows, piece)`` of the pieces on and off ``mask``, leaving out empty ones and the plateau (``None``)."""
+    pieces = []
+    for piece, m in ((on, mask), (below, ~mask)):
+        if piece is not None:
+            rows = m.nonzero()[0]
+            if rows.size:
+                pieces.append((rows, piece))
+    return pieces
 
 
 class _CurveConstruction(ELExpr):
@@ -414,9 +392,9 @@ class _CurveConstruction(ELExpr):
     A node checks its curve's shape and validity when built, then resolves
     ``_layout`` once: the seam or a single-branch fallback, the supremum of
     the range and the strip a fallback keeps.  It classifies points into
-    pieces (``_regions``) and lists each piece's value and partials in
-    ``_PASSES`` (see :func:`_group_pieces`); pieces missing from the table
-    sit on the plateau, with zero partials.
+    pieces (``_regions``), each piece given by the formulas of its value and
+    partials in ``_PIECES``; ``None`` stands for the plateau, with zero
+    partials.
 
     A batch is split once per call into regions by the comparisons with the
     seam coordinates: past both (the plateau), the two strips, and the
@@ -436,9 +414,11 @@ class _CurveConstruction(ELExpr):
     # range), in the order tried when the curve has no seam point.
     _FALLBACKS: tuple = ()
     _NO_SEAM = "curve has no point with normal (1, 1) yet its slope range straddles 1"
-    # Pieces of the full layout below the seam, then (on or above, below the
-    # curve) on the strip x >= t_x and on the strip y >= t_y.
-    _SEAM_PIECES: tuple = ()
+    # Pieces as (value, d/dx, d/dy): below the seam, then (on or above,
+    # below the curve) on the strip x >= t_x and on the strip y >= t_y.  A
+    # formula is a constant or a function ``(node, points)`` of the node and
+    # a region's :class:`_Points`.
+    _PIECES: tuple = ()
 
     def __post_init__(self) -> None:
         if self.curve.shape != self._required_shape:
@@ -508,49 +488,46 @@ class _CurveConstruction(ELExpr):
             return _on_or_above(p.x, p.seam_beta, sx or sy, ties)
         return _on_or_above(p.y, p.seam_alpha, sx or sy, ties)
 
-    def _single_test(self, p: _Points, along_x: bool, sx: int, sy: int, ties):
-        """Single-branch layout: mask of the points on or above the curve clamped into its range."""
-        return self._clamped_test(p, along_x, sx, sy, ties)
+    # Single-branch layout: mask of the points on or above the curve.
+    _single_test = _clamped_test
 
     def _regions(self, p: _Points, sx: int, sy: int, ties=None) -> list:
-        """``(rows, points, piece codes)`` of each region of the batch, ties resolved towards the side ``(sx, sy)``.
+        """``(rows, points, pieces)`` of each region of the batch, ties resolved towards the side ``(sx, sy)``.
 
-        ``rows`` is None for the whole batch.  The plateau past both seam
-        coordinates is left out: its rows keep ``_eval``'s default.  With
-        ``ties``, the rows where some comparison tied are ORed into it.
+        ``rows`` is None for the whole batch; ``pieces`` lists ``(rows,
+        piece)`` with the rows of the region that a piece of ``_PIECES``
+        covers (a slice for all of them).  The plateau is left out: its rows
+        keep ``_eval``'s default.  With ``ties``, the rows where some
+        comparison tied are ORed into it.
         """
         lay = self._layout
+        inner, x_pieces, y_pieces = self._PIECES
         if lay.mode != "full":
-            on, below = self._SEAM_PIECES[1 if lay.along_x else 2]
-            return [(None, p, _pick(self._single_test(p, lay.along_x, sx, sy, ties), on, below))]
-        inner, x_pieces, y_pieces = self._SEAM_PIECES
+            mask = self._single_test(p, lay.along_x, sx, sy, ties)
+            return [(None, p, _split(mask, *(x_pieces if lay.along_x else y_pieces)))]
         past_x = _on_or_above(p.x, lay.t_x, sx, ties)
         past_y = _on_or_above(p.y, lay.t_y, sy, ties)
         regions = []
-        for mask, x_strip, (on, below) in ((past_x & ~past_y, True, x_pieces), (past_y & ~past_x, False, y_pieces)):
+        for mask, x_strip, pieces in ((past_x & ~past_y, True, x_pieces), (past_y & ~past_x, False, y_pieces)):
             rows = mask.nonzero()[0]
             if rows.size:
                 q = p.take(rows)
                 tied = None if ties is None else np.zeros(rows.size, dtype=bool)
-                regions.append((rows, q, _pick(self._strip_test(q, x_strip, sx, sy, tied), on, below)))
+                regions.append((rows, q, _split(self._strip_test(q, x_strip, sx, sy, tied), *pieces)))
                 if ties is not None:
                     ties[rows] |= tied
         rows = (~(past_x | past_y)).nonzero()[0]
         if rows.size:
-            regions.append((rows, p.take(rows), np.full(rows.size, inner, dtype=np.int8)))
+            regions.append((rows, p.take(rows), [(slice(None), inner)]))
         return regions
 
     def _eval(self, column: int, regions, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with column 0 (value), 1 (d/dx) or 2 (d/dy) of the piece table on the ``regions``."""
+        """Fill ``out`` with column 0 (value), 1 (d/dx) or 2 (d/dy) of the pieces of the ``regions``."""
         out.fill(self._layout.sup if column == 0 else 0.0)
-        for rows, q, piece in regions:
-            for codes, formula in self._PASSES[column]:
-                m = piece == codes[0]
-                for code in codes[1:]:
-                    m |= piece == code
-                at = m.nonzero()[0]
-                if at.size:
-                    out[at if rows is None else rows[at]] = formula(self, q)[at] if callable(formula) else formula
+        for rows, q, pieces in regions:
+            for at, piece in pieces:
+                formula = piece[column]
+                out[at if rows is None else rows[at]] = formula(self, q)[at] if callable(formula) else formula
         return out
 
     def _values(self, X):
@@ -591,17 +568,12 @@ class ConvexPlateau(_CurveConstruction):
     curve: Curve2D
 
     _required_shape = SHAPE_CONVEX
-    _PASSES = _group_pieces({
-        _XSTRIP: (lambda f, p: f._layout.sup + p.x - p.beta, 1.0, _neg_beta_prime),
-        _YSTRIP: (lambda f, p: f._layout.sup + p.y - p.alpha, _neg_alpha_prime, 1.0),
-        _INNER: (
-            lambda f, p: (f.curve.a - p.seam_alpha) + (f.curve.b - p.seam_beta),
-            _neg_alpha_prime,
-            _neg_beta_prime,
-        ),
-    })
+    _PIECES = (
+        (lambda f, p: (f.curve.a - p.seam_alpha) + (f.curve.b - p.seam_beta), _neg_alpha_prime, _neg_beta_prime),
+        (None, (lambda f, p: f._layout.sup + p.x - p.beta, 1.0, _neg_beta_prime)),
+        (None, (lambda f, p: f._layout.sup + p.y - p.alpha, _neg_alpha_prime, 1.0)),
+    )
     _FALLBACKS = (("single_shallow", True, lambda c: c.a), ("single_steep", False, lambda c: c.b))
-    _SEAM_PIECES = (_INNER, (_FLAT, _XSTRIP), (_FLAT, _YSTRIP))
 
     def _seam_plateau(self, t: TPoint) -> float:
         return (self.curve.a - t.t_x) + (self.curve.b - t.t_y)
@@ -621,13 +593,12 @@ class ConvexDiag(_CurveConstruction):
     curve: Curve2D
 
     _required_shape = SHAPE_CONVEX
-    _PASSES = _group_pieces({
-        _XSTRIP: (lambda f, p: f._layout.sup + p.y - p.alpha, _neg_alpha_prime, 1.0),
-        _YSTRIP: (lambda f, p: f._layout.sup + p.x - p.beta, 1.0, _neg_beta_prime),
-        _SUM: (_x_plus_y, 1.0, 1.0),
-    })
+    _PIECES = (
+        _X_PLUS_Y,
+        (None, (lambda f, p: f._layout.sup + p.y - p.alpha, _neg_alpha_prime, 1.0)),
+        (None, (lambda f, p: f._layout.sup + p.x - p.beta, 1.0, _neg_beta_prime)),
+    )
     _NO_SEAM = "ConvexDiag needs both diagonal branches: the curve has no point with normal (1, 1)"
-    _SEAM_PIECES = (_SUM, (_FLAT, _XSTRIP), (_FLAT, _YSTRIP))
 
     def _strip_test(self, p, x_strip, sx, sy, ties):
         # The strip x >= t_x splits where y crosses the clamped alpha(x),
@@ -657,17 +628,16 @@ class ConcaveStep(_CurveConstruction):
     curve: Curve2D
 
     _required_shape = SHAPE_CONCAVE
-    _PASSES = _group_pieces({
-        _SUM: (_x_plus_y, 1.0, 1.0),
-        _XUP: (lambda f, p: p.y + f._beta_lin(p), 0.0, lambda f, p: 1.0 + p.beta_prime),
-        _YUP: (lambda f, p: p.x + f._alpha_lin(p), lambda f, p: 1.0 + p.alpha_prime, 0.0),
-    })
+    _PIECES = (
+        _X_PLUS_Y,
+        ((lambda f, p: p.y + f._beta_lin(p), 0.0, lambda f, p: 1.0 + p.beta_prime), _X_PLUS_Y),
+        ((lambda f, p: p.x + f._alpha_lin(p), lambda f, p: 1.0 + p.alpha_prime, 0.0), _X_PLUS_Y),
+    )
     # A single branch is bounded only where its linear tail is flat.
     _FALLBACKS = (
         ("single_steep", True, lambda c: math.inf if 1.0 + c.beta_prime(c.b) > 0.0 else c.b),
         ("single_shallow", False, lambda c: math.inf if 1.0 + c.alpha_prime(c.a) > 0.0 else c.a),
     )
-    _SEAM_PIECES = (_SUM, (_XUP, _SUM), (_YUP, _SUM))
 
     @cached_property
     def _end_slopes(self) -> tuple:

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from elopt import ConcaveStep, ConvexDiag, ConvexPlateau, HyperbolaCurve, eval_at, one_sided_partials
-from elopt.exprs import _FLAT, _INNER, _SUM, _XSTRIP, _XUP, _YSTRIP, _YUP
 
 # Worked quadratic arcs used throughout: unit intercepts with curvature +-0.5.
 QC_PARAMS = dict(a=1.0, b=1.0, c2=0.5)       # alpha = 1 - 1.5 x + 0.5 x^2
@@ -100,6 +99,15 @@ def csv_rows_reference(columns):
     )
 
 
+# Piece codes of ``classify_reference``.
+_FLAT = 0       # constant plateau / region above the curve
+_XSTRIP = 1     # strip x >= t_x below the curve
+_YSTRIP = 2     # strip y >= t_y below the curve
+_INNER = 3      # region with both coordinates below the seam
+_XUP = 4        # strip x >= t_x above the curve, non-flat (concave case)
+_YUP = 5        # strip y >= t_y above the curve, non-flat (concave case)
+_SUM = 6        # region where the function is x + y
+
 TIE_TOL = 1e-12
 TIE_OFFSETS = (0.0, 0.5e-12, -0.5e-12, 1e-12, -1e-12, 2e-12, -2e-12)
 
@@ -151,17 +159,28 @@ def classify_reference(node, x, y, sx, sy):
     return piece
 
 
+def _eval_reference(node, column, X, sx, sy):
+    """Column ``column`` of the node's ``_eval`` on the pieces of ``classify_reference``, the batch as one region."""
+    x, y = X[:, 0], X[:, 1]
+    inner, (x_on, x_below), (y_on, y_below) = node._PIECES
+    if isinstance(node, ConcaveStep):
+        by_code = {_SUM: inner, _XUP: x_on, _YUP: y_on}
+    else:
+        by_code = {_INNER if isinstance(node, ConvexPlateau) else _SUM: inner, _XSTRIP: x_below, _YSTRIP: y_below}
+    code = classify_reference(node, x, y, sx, sy)
+    pieces = [((code == c).nonzero()[0], piece) for c, piece in by_code.items()]
+    return node._eval(column, [(None, node._points(x, y), pieces)], np.empty(len(X)))
+
+
 def values_reference(node, X):
     """``eval_at`` of a piecewise node with the pieces of ``classify_reference``."""
-    x, y = X[:, 0], X[:, 1]
-    return node._eval(0, [(None, node._points(x, y), classify_reference(node, x, y, 0, 0))], np.empty(len(X)))
+    return _eval_reference(node, 0, X, 0, 0)
 
 
 def partials_reference(node, X):
     """``(left, right)`` one-sided partials of a piecewise node with the pieces of ``classify_reference``."""
-    x, y = X[:, 0], X[:, 1]
     cols = [
-        node._eval(column, [(None, node._points(x, y), classify_reference(node, x, y, sx, sy))], np.empty(len(X)))
+        _eval_reference(node, column, X, sx, sy)
         for column, sx, sy in ((1, -1, 0), (2, 0, -1), (1, 1, 0), (2, 0, 1))
     ]
     left = np.where(X > 0.0, np.stack(cols[:2], axis=1), np.nan)

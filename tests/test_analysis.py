@@ -171,24 +171,29 @@ def test_reports_are_deterministic(qc, monkeypatch):
 
 
 def test_reports_do_not_depend_on_the_start_order(qc, monkeypatch):
-    # Tasks start longest first; reversed, the two workers run the
+    # Tasks start in list order; reversed, the two workers run the
     # properties in other threads and in another order, and the reports
     # stay the same.
     monkeypatch.setattr(analysis, "_available_cpus", lambda: 2)
-    started = []
-    run_tasks = analysis._run_tasks
-    monkeypatch.setattr(analysis, "_run_tasks", lambda tasks, order: started.append(order) or run_tasks(tasks, order))
     cases = [(ConvexPlateau(qc), (1.5, 1.5)), (lambda p: p[0] * p[1], (1.2, 1.2)), (_Rising(qc), (1.2, 1.2))]
 
     def reports():
         return [repr(check_el(fn, box, samples=3000, seed=5)) for fn, box in cases]
 
-    longest_first = reports()
-    # task indices follow PROPERTY_ORDER after "pointed"
-    assert started[:2] == [[2, 6, 3, 1, 4, 5, 0, 8, 7], [2, 3, 1, 4, 0]]
-    monkeypatch.setattr(analysis, "_LONGEST_FIRST", analysis._LONGEST_FIRST[::-1])
-    assert reports() == longest_first
-    assert started[3:5] == [[7, 8, 0, 5, 4, 1, 3, 6, 2], [0, 4, 1, 3, 2]]
+    in_order = reports()
+    started = []
+    run_tasks = analysis._run_tasks
+
+    def run_reversed(tasks, order=None):
+        assert order is None
+        order = list(range(len(tasks)))[::-1]
+        started.append(order)
+        return run_tasks(tasks, order)
+
+    monkeypatch.setattr(analysis, "_run_tasks", run_reversed)
+    assert reports() == in_order
+    # task indices follow the properties after "pointed"
+    assert started[:2] == [[8, 7, 6, 5, 4, 3, 2, 1, 0], [4, 3, 2, 1, 0]]
 
 
 def test_feasibility_of_the_linear_optimum(h12):

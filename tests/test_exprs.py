@@ -129,6 +129,20 @@ def test_linear_gives_one_point_the_bits_of_a_batch(c):
         assert singles.tobytes() == eval_at(expr, pts).tobytes()
 
 
+def test_a_zero_row_batch_gives_empty_arrays():
+    # Every piecewise node in every layout, and every combinator: a batch of
+    # no points yields arrays of no rows, with no region or piece to fill.
+    lin = Linear((0.7, 1.3, 2.1))
+    exprs = [node_type(curve) for node_type, curve, _ in ORACLE_CASES]
+    exprs += [lin, Sum(lin, lin), Scale(0.5, lin), TruncateMin(1.0, lin), Clamp((0.5, 0.5, 0.5), lin)]
+    exprs.append(Scale(0.5, TruncateMin(1.0, Clamp((0.5, 0.5), ConvexPlateau(QuadraticCurve(a=1.0, b=1.0, c2=0.5))))))
+    for expr in exprs:
+        X = np.empty((0, expr.dim))
+        assert eval_at(expr, X).shape == (0,)
+        g = one_sided_partials(expr, X)
+        assert g.left.shape == g.right.shape == g.defined_left.shape == (0, expr.dim)
+
+
 # ----------------------------------------------------- piecewise construction
 
 def test_shape_flag_enforced(qc, qcc):

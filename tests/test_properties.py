@@ -15,7 +15,10 @@ from elopt import (  # noqa: E402
     SHAPE_CONVEX,
     SHAPE_LINEAR,
     HyperbolaCurve,
+    Hyperplane,
+    LineCurve,
     QuadraticCurve,
+    check_feasible,
     construct,
     normal_ratio_bound,
 )
@@ -71,3 +74,28 @@ def test_claims_meet_the_ratio_bound_and_the_tie_oracle():
         for family in ("quadratic", "hyperbola")
         for mode in ("full", "single_shallow", "single_steep")
     }
+
+
+def test_linear_claims_meet_the_ratio_bound_and_are_feasible():
+    kinds = set()
+
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(
+        kind=st.sampled_from(["line", "hyperplane_2d", "hyperplane_3d"]),
+        log_values=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4),
+    )
+    def claim_is_the_bound(kind, log_values):
+        # Intercepts, coefficients and M from 2^-20 to 2^20, about 1e-6 to 1e6.
+        v = [2.0**e for e in log_values]
+        if kind == "line":
+            surface = LineCurve(a=v[0], b=v[1])
+        else:
+            surface = Hyperplane(c=tuple(v[: 2 if kind == "hyperplane_2d" else 3]), M=v[3])
+        hypothesis.assume(surface.validate().valid)
+        built = construct(surface)
+        assert built.claimed_cost == pytest.approx(normal_ratio_bound(surface).value, rel=1e-12, abs=0.0)
+        assert check_feasible(built.expr, surface).feasible
+        kinds.add(kind)
+
+    claim_is_the_bound()
+    assert kinds == {"line", "hyperplane_2d", "hyperplane_3d"}

@@ -20,14 +20,13 @@ Sampling is split into independent substreams derived from the master seed
 properties out over up to one thread per available CPU (numpy releases the
 interpreter lock inside its array loops) and collects them in a fixed
 order, so the report depends on neither the worker count nor the start
-order.  A sampled property draws its points and computes its violations one
-row block of ``_BLOCK`` (16,384) rows at a time (``_Draws``, ``_fold``), so
-its memory stays one block long.  Each block
-draws exactly the rows of the full-length arrays, every step is row-wise, and
-the worst violation folds over the blocks by ``np.argmax``'s rules, so the
-report does not depend on the block size either.  Blocks can be this small
-because an expression call costs only some tens of microseconds beyond its
-rows.
+order.  Each property is one block function: for rows ``lo:hi`` it draws
+exactly those rows of its full-length arrays (``_Draws``) and returns their
+row-wise violations and a witness for any row.  ``_fold`` runs it on
+``_BLOCK`` (16,384) rows at a time and keeps the worst row by
+``np.argmax``'s rules, so memory stays one block long and the report does
+not depend on the block size.  Blocks can be this small because an
+expression call costs only some tens of microseconds beyond its rows.
 ``lp_sweep`` builds the grid LPs of an ``m`` sweep on the calling thread,
 then solves them on the same pool, largest ``m`` first, and returns them in
 sweep order.
@@ -177,24 +176,15 @@ def _value_batch(fn: Union[ELExpr, Callable]) -> Callable[[np.ndarray], np.ndarr
     return lambda X: np.array([float(fn(row)) for row in X], dtype=float)
 
 
-def _worst(name, viol, tol, witness_of) -> PropertyCheck:
-    viol = np.asarray(viol, dtype=float)
-    if viol.size == 0:
-        return PropertyCheck(name, True, 0.0, tol, None, 0)
-    idx = int(np.argmax(viol))
-    worst = float(viol[idx])
-    return PropertyCheck(
-        name=name,
-        passed=worst <= tol,
-        worst_violation=worst,
-        tolerance=tol,
-        witness=witness_of(idx),
-        checked=int(viol.size),
-    )
-
-
 def _pt(row) -> tuple[float, ...]:
     return tuple(float(v) for v in np.ravel(row))
+
+
+def _sample_count(samples, least: int, need: str) -> int:
+    """``samples`` as an ``int`` if it is an integer (not a bool) >= ``least``; else ``DomainError``."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < least:
+        raise DomainError(f"{need}, got {samples!r}")
+    return int(samples)
 
 
 def check_el(
@@ -214,9 +204,10 @@ def check_el(
     give bit-identical reports.  A plain callable must therefore be safe to
     call from several threads at once.
     """
+    samples = _sample_count(samples, 0, "check_el needs a non-negative integer sample count")
     box_arr = np.asarray(box, dtype=float)
-    if box_arr.ndim != 1 or box_arr.size == 0 or not np.all(box_arr > 0.0):
-        raise DomainError("box must be a strictly positive vector")
+    if box_arr.ndim != 1 or box_arr.size == 0 or not np.all(np.isfinite(box_arr) & (box_arr > 0.0)):
+        raise DomainError("box must be a strictly positive finite vector")
     n = box_arr.size
     is_expr = isinstance(fn, ELExpr)
     if is_expr and fn.dim != n:
@@ -295,15 +286,6 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw(gen, box_arr, rows: int) -> np.ndarray:
-    """``rows`` points uniform on ``[0, box]``.
-
-    The bits and the stream of ``gen.uniform(0.0, box_arr, (rows, n))``,
-    which computes ``0.0 + box * u`` from the same doubles.
-    """
-    return gen.random((rows, box_arr.size)) * box_arr
-
-
 def _advanced(state: dict, steps: int) -> np.random.PCG64:
     """A PCG64 at ``state`` moved ``steps`` draws on, its buffered 32-bit half kept."""
     bitgen = np.random.PCG64()
@@ -337,7 +319,7 @@ class _Draws:
         return lambda lo, hi: start.random((hi - lo, *width))
 
     def points(self, box_arr):
-        """Rows of ``_draw(gen, box_arr, samples)``."""
+        """Rows of ``gen.uniform(0.0, box_arr, (samples, n))``, whose ``0.0 + box * u`` is ``box * u``."""
         rows = self.random(box_arr.size)
         return lambda lo, hi: rows(lo, hi) * box_arr
 
@@ -347,23 +329,30 @@ class _Draws:
         return lambda lo, hi: full[lo:hi]
 
 
-def _fold(name, tol, samples, viol, witness, *arrays) -> PropertyCheck:
-    """``_worst`` of the row-wise ``viol`` over the ``arrays``, one row block at a time.
+def _fold(name, tol, count, block) -> PropertyCheck:
+    """The worst of ``count`` row-wise violations, one row block at a time.
 
-    ``arrays`` are ``rows(lo, hi)`` callables, and ``witness`` maps the
-    arrays' one-row slices at the worst row to its witness.  Blocks fold by
-    ``np.argmax``'s rules, so the check equals ``_worst`` of the full-length
-    violations: the first maximum wins, and the first NaN beats every number.
+    ``block(lo, hi)`` returns the violations of rows ``lo`` to ``hi`` and a
+    map from a row of the block to its witness.  Blocks fold by
+    ``np.argmax``'s rules, so the check equals one ``np.argmax`` over all
+    rows: the first maximum wins, and the first NaN beats every number.
     """
-    if samples == 0:
+    if count == 0:
         return PropertyCheck(name, True, 0.0, tol, None, 0)
-    for lo in range(0, samples, _BLOCK):
-        block = [rows(lo, min(lo + _BLOCK, samples)) for rows in arrays]
-        v = viol(*block)
+    for lo in range(0, count, _BLOCK):
+        v, witness = block(lo, min(lo + _BLOCK, count))
         i = int(np.argmax(v))
         if lo == 0 or (not math.isnan(worst) and (v[i] > worst or math.isnan(v[i]))):
-            worst, found = float(v[i]), witness(*(b[i : i + 1] for b in block))
-    return PropertyCheck(name, worst <= tol, worst, tol, found, samples)
+            worst, found = float(v[i]), witness(i)
+        del v, witness  # the witness holds the block's arrays; free them before the next
+    return PropertyCheck(name, worst <= tol, worst, tol, found, count)
+
+
+def _listed(name, tol, viols, witnesses) -> PropertyCheck:
+    """``_fold`` over violations and their witnesses, already listed."""
+    return _fold(
+        name, tol, len(viols), lambda lo, hi: (np.array(viols[lo:hi]), witnesses[lo:hi].__getitem__)
+    )
 
 
 def _ordered_pair(draws, box_arr):
@@ -378,14 +367,14 @@ def _above(box_arr, X, U):
 
 def _monotone(value, box_arr, samples, gen) -> PropertyCheck:
     """x <= y implies f(x) <= f(y)."""
-    return _fold(
-        "monotone",
-        VALUE_TOL,
-        samples,
-        lambda X, U: value(X) - value(_above(box_arr, X, U)),
-        lambda X, U: (_pt(X), _pt(_above(box_arr, X, U))),
-        *_ordered_pair(_Draws(gen, samples), box_arr),
-    )
+    X, U = _ordered_pair(_Draws(gen, samples), box_arr)
+
+    def block(lo, hi):
+        x = X(lo, hi)
+        y = _above(box_arr, x, U(lo, hi))
+        return value(x) - value(y), lambda i: (_pt(x[i]), _pt(y[i]))
+
+    return _fold("monotone", VALUE_TOL, samples, block)
 
 
 def _submodular(value, box_arr, samples, gen) -> PropertyCheck:
@@ -394,10 +383,12 @@ def _submodular(value, box_arr, samples, gen) -> PropertyCheck:
     X = draws.points(box_arr)
     Y = draws.points(box_arr)
 
-    def viol(X, Y):
-        return value(np.minimum(X, Y)) + value(np.maximum(X, Y)) - value(X) - value(Y)
+    def block(lo, hi):
+        x, y = X(lo, hi), Y(lo, hi)
+        v = value(np.minimum(x, y)) + value(np.maximum(x, y)) - value(x) - value(y)
+        return v, lambda i: (_pt(x[i]), _pt(y[i]))
 
-    return _fold("submodular", VALUE_TOL, samples, viol, lambda X, Y: (_pt(X), _pt(Y)), X, Y)
+    return _fold("submodular", VALUE_TOL, samples, block)
 
 
 def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) -> PropertyCheck:
@@ -415,25 +406,19 @@ def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) 
     U = draws.random() if single_coordinate else draws.random(n)
     frac = draws.random()
 
-    def eps(lo, hi):
-        return box_arr[coord(lo, hi)] * (1e-4 + 0.5 * frac(lo, hi))
+    def block(lo, hi):
+        x, c, u = X(lo, hi), coord(lo, hi), U(lo, hi)
+        eps = box_arr[c] * (1e-4 + 0.5 * frac(lo, hi))
+        along = c[:, None] == np.arange(n)
+        if single_coordinate:
+            y = x + np.where(along, ((box_arr[c] - x[np.arange(len(x)), c]) * u)[:, None], 0.0)
+        else:
+            y = _above(box_arr, x, u)
+        step = np.where(along, eps[:, None], 0.0)
+        v = (value(y + step) - value(y)) - (value(x + step) - value(x))
+        return v, lambda i: (_pt(x[i]), _pt(y[i]), int(c[i]), float(eps[i]))
 
-    def upper(X, coord, U):
-        if not single_coordinate:
-            return _above(box_arr, X, U)
-        x_c = X[np.arange(len(X)), coord]
-        along = coord[:, None] == np.arange(n)
-        return X + np.where(along, ((box_arr[coord] - x_c) * U)[:, None], 0.0)
-
-    def viol(X, coord, U, eps):
-        Y = upper(X, coord, U)
-        step = np.where(coord[:, None] == np.arange(n), eps[:, None], 0.0)
-        return (value(Y + step) - value(Y)) - (value(X + step) - value(X))
-
-    def witness(X, coord, U, eps):
-        return _pt(X), _pt(upper(X, coord, U)), int(coord[0]), float(eps[0])
-
-    return _fold(name, VALUE_TOL, samples, viol, witness, X, coord, U, eps)
+    return _fold(name, VALUE_TOL, samples, block)
 
 
 def _directional_concavity(value, box_arr, samples, gen) -> PropertyCheck:
@@ -442,15 +427,14 @@ def _directional_concavity(value, box_arr, samples, gen) -> PropertyCheck:
     X, U = _ordered_pair(draws, box_arr)
     lam = draws.random()
 
-    def viol(X, U, lam):
-        Y = _above(box_arr, X, U)
-        mid = lam[:, None] * X + (1.0 - lam[:, None]) * Y
-        return lam * value(X) + (1.0 - lam) * value(Y) - value(mid)
+    def block(lo, hi):
+        x, t = X(lo, hi), lam(lo, hi)
+        y = _above(box_arr, x, U(lo, hi))
+        mid = t[:, None] * x + (1.0 - t[:, None]) * y
+        v = t * value(x) + (1.0 - t) * value(y) - value(mid)
+        return v, lambda i: (_pt(x[i]), _pt(y[i]), float(t[i]))
 
-    def witness(X, U, lam):
-        return _pt(X), _pt(_above(box_arr, X, U)), float(lam[0])
-
-    return _fold("directional_concavity", VALUE_TOL, samples, viol, witness, X, U, lam)
+    return _fold("directional_concavity", VALUE_TOL, samples, block)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -464,36 +448,28 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 def _left_at_least_right(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
     """Left >= right wherever the left derivative exists."""
+    P = _Draws(gen, samples).points(box_arr)
 
-    def gap(P):
-        grad = one_sided_partials(expr, P)
-        return np.where(grad.defined_left, grad.right - grad.left, -np.inf)
+    def block(lo, hi):
+        p = P(lo, hi)
+        grad = one_sided_partials(expr, p)
+        gap = np.where(grad.defined_left, grad.right - grad.left, -np.inf)
+        return _row_max(gap), lambda i: (_pt(p[i]), int(np.argmax(gap[i])))
 
-    return _fold(
-        "left_at_least_right",
-        DERIV_TOL,
-        samples,
-        lambda P: _row_max(gap(P)),
-        lambda P: (_pt(P), int(np.argmax(gap(P)))),
-        _Draws(gen, samples).points(box_arr),
-    )
+    return _fold("left_at_least_right", DERIV_TOL, samples, block)
 
 
 def _derivative_monotone(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
     """Right derivatives do not increase along positive directions."""
+    X, U = _ordered_pair(_Draws(gen, samples), box_arr)
 
-    def diff(X, U):
-        Y = _above(box_arr, X, U)
-        return one_sided_partials(expr, Y).right - one_sided_partials(expr, X).right
+    def block(lo, hi):
+        x = X(lo, hi)
+        y = _above(box_arr, x, U(lo, hi))
+        diff = one_sided_partials(expr, y).right - one_sided_partials(expr, x).right
+        return _row_max(diff), lambda i: (_pt(x[i]), _pt(y[i]), int(np.argmax(diff[i])))
 
-    return _fold(
-        "derivative_monotone",
-        DERIV_TOL,
-        samples,
-        lambda X, U: _row_max(diff(X, U)),
-        lambda X, U: (_pt(X), _pt(_above(box_arr, X, U)), int(np.argmax(diff(X, U)))),
-        *_ordered_pair(_Draws(gen, samples), box_arr),
-    )
+    return _fold("derivative_monotone", DERIV_TOL, samples, block)
 
 
 def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
@@ -509,7 +485,7 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     curvature is not mistaken for a wrong derivative rule.
     """
     n = box_arr.size
-    P = _draw(gen, box_arr, _FD_POINTS)
+    P = _Draws(gen, _FD_POINTS).points(box_arr)(0, _FD_POINTS)
     h = 1e-7 * np.maximum(1.0, np.max(np.abs(P), axis=1))
     base = eval_at(expr, P)
     grad = one_sided_partials(expr, P)
@@ -531,7 +507,7 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
             for row in np.nonzero(smooth)[0]:
                 viols.append(rel[row])
                 witnesses.append((_pt(P[row]), i, side))
-    return _worst("fd_agreement", viols, FD_REL_TOL, lambda i: witnesses[i])
+    return _listed("fd_agreement", FD_REL_TOL, viols, witnesses)
 
 
 def _ladder_limit(seq: np.ndarray) -> np.ndarray:
@@ -549,7 +525,7 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     the limit against the ladder extrapolated to ``eps = 0``.
     """
     n = box_arr.size
-    P = _draw(gen, box_arr, _LIMIT_POINTS)
+    P = _Draws(gen, _LIMIT_POINTS).points(box_arr)(0, _LIMIT_POINTS)
     grad = one_sided_partials(expr, P)
     viols = []
     witnesses = []
@@ -573,7 +549,7 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
             for k, row in enumerate(np.nonzero(usable)[0]):
                 viols.append(max(float(mono[k]), float(conv[k])))
                 witnesses.append((_pt(P[row]), i, side))
-    return _worst("derivative_limits", viols, LIMIT_TOL, lambda i: witnesses[i])
+    return _listed("derivative_limits", LIMIT_TOL, viols, witnesses)
 
 
 def _sample_curve_inner(curve: Curve2D, samples: int, gen, margin: float) -> np.ndarray:
@@ -603,8 +579,7 @@ def check_feasible(
     """
     if expr.dim != surface.dim:
         raise DomainError(f"expression has dim {expr.dim}, surface has dim {surface.dim}")
-    if samples < 1:
-        raise DomainError(f"check_feasible needs at least one sample, got {samples}")
+    samples = _sample_count(samples, 1, "check_feasible needs an integer count of at least one sample")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if isinstance(surface, Hyperplane):
         margin = FEASIBLE_MARGIN_FRAC

@@ -97,15 +97,19 @@ def _count(name: str, value, low: int) -> int:
     return value
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or a file that is not UTF-8
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _load_job(args) -> _Job:
     if args.config is None:
         raise ConfigError("--config PATH is required")
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    doc = _read_json(args.config, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(doc) - _KNOWN_KEYS
@@ -228,13 +232,7 @@ def _cmd_construct(job: _Job, args) -> int:
 def _load_expr(job: _Job, expr_path: Optional[str]) -> ELExpr:
     if expr_path is None:
         return construct(job.surface, job.construction).expr
-    try:
-        doc = json.loads(Path(expr_path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read expression file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"expression file is not valid JSON: {exc}") from exc
-    return expr_from_dict(doc)
+    return expr_from_dict(_read_json(expr_path, "expression file"))
 
 
 def _cmd_check(job: _Job, args) -> int:

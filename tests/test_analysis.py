@@ -224,9 +224,11 @@ def test_construction_feasibility(qc, qcc):
 def test_check_feasible_needs_a_sample(h12, qc):
     # An empty sample has no smallest jump: a typed error, not numpy's argmin error.
     for expr, surface in ((linear_opt(h12).expr, h12), (convex_plateau(qc).expr, qc)):
-        for samples in (0, -1):
+        for samples in (0, -1, 2.5, True, np.float64(3.0)):
             with pytest.raises(DomainError, match="at least one sample"):
                 check_feasible(expr, surface, samples=samples, seed=0)
+        got = check_feasible(expr, surface, samples=np.int32(7), seed=0)
+        assert repr(got) == repr(check_feasible(expr, surface, samples=7, seed=0))
 
 
 def test_normal_ratio_bound_hyperplane():
@@ -345,8 +347,15 @@ def test_gap_report_rejects_lp_for_higher_dimensions():
 def test_check_el_input_validation(qc):
     with pytest.raises(DomainError):
         check_el(ConvexPlateau(qc), (1.0, 1.0, 1.0), samples=10, seed=0)
-    with pytest.raises(DomainError):
-        check_el(ConvexPlateau(qc), (1.0, -1.0), samples=10, seed=0)
+    for box in ((1.0, -1.0), (np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            check_el(ConvexPlateau(qc), box, samples=10, seed=0)
+    # refused before any property task starts, not by numpy or a worker
+    for samples in (-3, 2.5, True, np.float64(10.0), "10"):
+        with pytest.raises(DomainError, match="sample count"):
+            check_el(ConvexPlateau(qc), (1.0, 1.0), samples=samples, seed=0)
+    got = check_el(ConvexPlateau(qc), (1.0, 1.0), samples=np.int64(10), seed=0)
+    assert repr(got) == repr(check_el(ConvexPlateau(qc), (1.0, 1.0), samples=10, seed=0))
 
 
 def _lying(factor):
@@ -386,7 +395,7 @@ def test_draw_matches_uniform(box):
     box_arr = np.asarray(box)
     ref, gen = np.random.default_rng(5), np.random.default_rng(5)
     want = ref.uniform(0.0, box_arr, (1001, box_arr.size))
-    assert analysis._draw(gen, box_arr, 1001).tobytes() == want.tobytes()
+    assert analysis._Draws(gen, 1001).points(box_arr)(0, 1001).tobytes() == want.tobytes()
     assert gen.random(size=(9, 2)).tobytes() == ref.uniform(size=(9, 2)).tobytes()
     assert gen.bit_generator.state == ref.bit_generator.state
 
@@ -399,7 +408,7 @@ def test_block_draws_match_full_length_draws(box, block):
     n, samples = box_arr.size, 2 * block + 5
     ref, gen = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(9))) for _ in range(2))
     want = [
-        analysis._draw(ref, box_arr, samples),
+        ref.uniform(0.0, box_arr, (samples, n)),
         ref.integers(0, n, samples),
         ref.random((samples, n)),
         ref.random(samples),
@@ -479,33 +488,6 @@ def test_block_size_never_changes_a_report(qc, monkeypatch):
 
     check()
     assert seen == set(cases)
-
-
-def test_check_el_peak_memory_stays_blockwise(qc, monkeypatch):
-    # Whole-array evaluation peaked at about 35 MiB here; blocks keep the
-    # temporaries of the one running property at 65,536 rows.
-    monkeypatch.setattr(analysis, "_available_cpus", lambda: 1)
-    expr = ConvexPlateau(qc)
-    tracemalloc.start()
-    try:
-        assert check_el(expr, (1.5, 1.5), samples=300_000, seed=0).passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 28 * 2**20
-
-
-def test_check_el_memory_does_not_grow_with_the_samples(qc, monkeypatch):
-    # Full-length draws peaked at about 20 MiB in this test; 65,536 samples
-    # (one block) peak at about 9 MiB.
-    monkeypatch.setattr(analysis, "_available_cpus", lambda: 1)
-    tracemalloc.start()
-    try:
-        assert check_el(ConvexPlateau(qc), (1.5, 1.5), samples=300_000, seed=0).passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 14 * 2**20
 
 
 def test_check_el_peak_memory_is_one_small_block(qc, monkeypatch):

@@ -20,12 +20,15 @@ Sampling is split into independent substreams derived from the master seed
 properties out over up to one thread per available CPU (numpy releases the
 interpreter lock inside its array loops) and collects them in a fixed
 order, so the report depends on neither the worker count nor the start
-order.  Each property is one block function: for rows ``lo:hi`` it draws
-exactly those rows of its full-length arrays (``_Draws``) and returns their
-row-wise violations and a witness for any row.  ``_fold`` runs it on
-``_BLOCK`` (16,384) rows at a time and keeps the worst row by
-``np.argmax``'s rules, so memory stays one block long and the report does
-not depend on the block size.  Blocks can be this small because an
+order.  Each property is one block function: it draws its random arrays
+for a block of rows from a generator and returns their row-wise violations
+and a witness for any row.  ``_fold`` runs it on ``_BLOCK`` (16,384) rows
+at a time and keeps the worst row by ``np.argmax``'s rules, so memory stays
+one block long whatever the sample count.  Block 0 draws from the
+property's own generator, so a report of at most ``_BLOCK`` samples is the
+one full-length draws give; block k >= 1 draws from a generator seeded by
+child k of the property's ``SeedSequence``.  So ``_BLOCK`` is part of what
+a report of more samples means.  Blocks can be this small because an
 expression call costs only some tens of microseconds beyond its rows.
 ``lp_sweep`` builds the grid LPs of an ``m`` sweep on the calling thread,
 then solves them on the same pool, largest ``m`` first, and returns them in
@@ -39,6 +42,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -180,11 +184,11 @@ def _pt(row) -> tuple[float, ...]:
     return tuple(float(v) for v in np.ravel(row))
 
 
-def _sample_count(samples, least: int, need: str) -> int:
-    """``samples`` as an ``int`` if it is an integer (not a bool) >= ``least``; else ``DomainError``."""
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < least:
-        raise DomainError(f"{need}, got {samples!r}")
-    return int(samples)
+def _integer(value, least: int, need: str) -> int:
+    """``value`` as an ``int`` if it is an integer (not a bool) >= ``least``; else ``DomainError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{need}, got {value!r}")
+    return int(value)
 
 
 def check_el(
@@ -204,7 +208,8 @@ def check_el(
     give bit-identical reports.  A plain callable must therefore be safe to
     call from several threads at once.
     """
-    samples = _sample_count(samples, 0, "check_el needs a non-negative integer sample count")
+    samples = _integer(samples, 0, "check_el needs a non-negative integer sample count")
+    seed = _integer(seed, 0, "check_el needs a non-negative integer seed")
     box_arr = np.asarray(box, dtype=float)
     if box_arr.ndim != 1 or box_arr.size == 0 or not np.all(np.isfinite(box_arr) & (box_arr > 0.0)):
         raise DomainError("box must be a strictly positive finite vector")
@@ -221,20 +226,21 @@ def check_el(
     v0 = float(value(np.zeros((1, n)))[0])
     checks = [PropertyCheck("pointed", v0 == 0.0, abs(v0), 0.0, _pt(np.zeros(n)), 1)]
 
-    tasks = [
-        partial(_monotone, value, box_arr, samples),
-        partial(_submodular, value, box_arr, samples),
-        partial(_diminishing_returns, "dr_coordinate", True, value, box_arr, samples),
-        partial(_diminishing_returns, "dr_general", False, value, box_arr, samples),
-        partial(_directional_concavity, value, box_arr, samples),
+    sampled = [
+        ("monotone", VALUE_TOL, partial(_monotone, value, box_arr)),
+        ("submodular", VALUE_TOL, partial(_submodular, value, box_arr)),
+        ("dr_coordinate", VALUE_TOL, partial(_diminishing_returns, True, value, box_arr)),
+        ("dr_general", VALUE_TOL, partial(_diminishing_returns, False, value, box_arr)),
+        ("directional_concavity", VALUE_TOL, partial(_directional_concavity, value, box_arr)),
     ]
+    listed = []
     if is_expr:
-        tasks += [
-            partial(_left_at_least_right, fn, box_arr, samples),
-            partial(_derivative_monotone, fn, box_arr, samples),
-            partial(_fd_check, fn, box_arr),
-            partial(_limit_check, fn, box_arr),
+        sampled += [
+            ("left_at_least_right", DERIV_TOL, partial(_left_at_least_right, fn, box_arr)),
+            ("derivative_monotone", DERIV_TOL, partial(_derivative_monotone, fn, box_arr)),
         ]
+        listed = [partial(_fd_check, fn, box_arr), partial(_limit_check, fn, box_arr)]
+    tasks = [partial(_fold, name, tol, samples, block) for name, tol, block in sampled] + listed
     checks += _run_tasks([partial(task, gen) for task, gen in zip(tasks, gens[1:])])
 
     return ELReport(
@@ -286,112 +292,70 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _advanced(state: dict, steps: int) -> np.random.PCG64:
-    """A PCG64 at ``state`` moved ``steps`` draws on, its buffered 32-bit half kept."""
-    bitgen = np.random.PCG64()
-    bitgen.state = state
-    bitgen.advance(steps)  # clears the buffered half
-    bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
-    return bitgen
+def _fold(name, tol, count, block, gen) -> PropertyCheck:
+    """The worst of ``count`` row-wise violations, one block of rows at a time.
 
-
-class _Draws:
-    """A task's random arrays of ``samples`` rows, handed out one row block at a time.
-
-    Each call stands for the same full-length call on ``gen`` at that place
-    in the task's sequence of draws, and returns ``rows(lo, hi)``, to be
-    asked for block after block from ``lo = 0``.  ``gen`` moves past the
-    array at once (a PCG64 double is one draw), and the blocks come from a
-    copy of ``gen`` at the array's start.  So the blocks are bit for bit
-    the rows of the full-length array, and ``gen`` ends where full-length
-    draws leave it.
-    """
-
-    def __init__(self, gen, samples: int):
-        self.gen = gen
-        self.samples = samples
-
-    def random(self, *width):
-        """Rows of ``gen.random((samples, *width))``."""
-        state = self.gen.bit_generator.state
-        self.gen.bit_generator.state = _advanced(state, self.samples * math.prod(width)).state
-        start = np.random.Generator(_advanced(state, 0))
-        return lambda lo, hi: start.random((hi - lo, *width))
-
-    def points(self, box_arr):
-        """Rows of ``gen.uniform(0.0, box_arr, (samples, n))``, whose ``0.0 + box * u`` is ``box * u``."""
-        rows = self.random(box_arr.size)
-        return lambda lo, hi: rows(lo, hi) * box_arr
-
-    def integers(self, n: int):
-        """Rows of ``gen.integers(0, n, samples)``, drawn at full length: it may reject draws."""
-        full = self.gen.integers(0, n, size=self.samples)
-        return lambda lo, hi: full[lo:hi]
-
-
-def _fold(name, tol, count, block) -> PropertyCheck:
-    """The worst of ``count`` row-wise violations, one row block at a time.
-
-    ``block(lo, hi)`` returns the violations of rows ``lo`` to ``hi`` and a
-    map from a row of the block to its witness.  Blocks fold by
-    ``np.argmax``'s rules, so the check equals one ``np.argmax`` over all
+    ``block(gen, rows)`` draws ``rows`` rows from the generator it is handed
+    and returns their violations and a map from a row of the block to its
+    witness.  Block 0 draws from the property's own ``gen``, block k >= 1
+    from a generator seeded by child k of its ``SeedSequence``.  Blocks fold
+    by ``np.argmax``'s rules, so the check equals one ``np.argmax`` over all
     rows: the first maximum wins, and the first NaN beats every number.
     """
     if count == 0:
         return PropertyCheck(name, True, 0.0, tol, None, 0)
-    for lo in range(0, count, _BLOCK):
-        v, witness = block(lo, min(lo + _BLOCK, count))
+    children = gen.bit_generator.seed_seq.spawn(-(-count // _BLOCK))  # child 0 goes unused
+    for k, lo in enumerate(range(0, count, _BLOCK)):
+        stream = gen if k == 0 else np.random.default_rng(children[k])
+        v, witness = block(stream, min(_BLOCK, count - lo))
         i = int(np.argmax(v))
-        if lo == 0 or (not math.isnan(worst) and (v[i] > worst or math.isnan(v[i]))):
+        if k == 0 or (not math.isnan(worst) and (v[i] > worst or math.isnan(v[i]))):
             worst, found = float(v[i]), witness(i)
         del v, witness  # the witness holds the block's arrays; free them before the next
     return PropertyCheck(name, worst <= tol, worst, tol, found, count)
 
 
-def _listed(name, tol, viols, witnesses) -> PropertyCheck:
-    """``_fold`` over violations and their witnesses, already listed."""
-    return _fold(
-        name, tol, len(viols), lambda lo, hi: (np.array(viols[lo:hi]), witnesses[lo:hi].__getitem__)
-    )
+def _listed(name, tol, viols, witnesses, gen) -> PropertyCheck:
+    """``_fold`` over violations and their witnesses, already listed; each block takes the next rows."""
+    ahead = zip(viols, witnesses)
+
+    def block(_, rows):
+        v, w = zip(*islice(ahead, rows))
+        return np.array(v), w.__getitem__
+
+    return _fold(name, tol, len(viols), block, gen)
 
 
-def _ordered_pair(draws, box_arr):
-    """``X`` uniform on the box, and the fractions ``U`` from which ``_above`` places ``Y >= X``."""
-    return draws.points(box_arr), draws.random(box_arr.size)
+def _points(box_arr, gen, rows):
+    """``rows`` points uniform on the box, bit for bit ``gen.uniform(0.0, box_arr, (rows, n))``."""
+    return gen.random((rows, box_arr.size)) * box_arr
 
 
-def _above(box_arr, X, U):
-    """The point the fractions ``U`` of the way from ``X`` to the box's far corner."""
-    return X + (box_arr - X) * U
+def _ordered_pair(box_arr, gen, rows):
+    """``x`` uniform on the box, and ``y`` the fractions ``u`` of the way to the box's far corner."""
+    x = _points(box_arr, gen, rows)
+    return x, _above(box_arr, x, gen.random((rows, box_arr.size)))
 
 
-def _monotone(value, box_arr, samples, gen) -> PropertyCheck:
+def _above(box_arr, x, u):
+    """The point the fractions ``u`` of the way from ``x`` to the box's far corner."""
+    return x + (box_arr - x) * u
+
+
+def _monotone(value, box_arr, gen, rows):
     """x <= y implies f(x) <= f(y)."""
-    X, U = _ordered_pair(_Draws(gen, samples), box_arr)
-
-    def block(lo, hi):
-        x = X(lo, hi)
-        y = _above(box_arr, x, U(lo, hi))
-        return value(x) - value(y), lambda i: (_pt(x[i]), _pt(y[i]))
-
-    return _fold("monotone", VALUE_TOL, samples, block)
+    x, y = _ordered_pair(box_arr, gen, rows)
+    return value(x) - value(y), lambda i: (_pt(x[i]), _pt(y[i]))
 
 
-def _submodular(value, box_arr, samples, gen) -> PropertyCheck:
+def _submodular(value, box_arr, gen, rows):
     """f(x) + f(y) >= f(min(x, y)) + f(max(x, y))."""
-    draws = _Draws(gen, samples)
-    X = draws.points(box_arr)
-    Y = draws.points(box_arr)
-
-    def block(lo, hi):
-        x, y = X(lo, hi), Y(lo, hi)
-        v = value(np.minimum(x, y)) + value(np.maximum(x, y)) - value(x) - value(y)
-        return v, lambda i: (_pt(x[i]), _pt(y[i]))
-
-    return _fold("submodular", VALUE_TOL, samples, block)
+    x, y = _points(box_arr, gen, rows), _points(box_arr, gen, rows)
+    v = value(np.minimum(x, y)) + value(np.maximum(x, y)) - value(x) - value(y)
+    return v, lambda i: (_pt(x[i]), _pt(y[i]))
 
 
-def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) -> PropertyCheck:
+def _diminishing_returns(single_coordinate, value, box_arr, gen, rows):
     """For x <= y, a step along one coordinate gains no more at y than at x.
 
     ``single_coordinate`` draws y from x along the stepped coordinate only;
@@ -400,41 +364,27 @@ def _diminishing_returns(name, single_coordinate, value, box_arr, samples, gen) 
     bit-identical.
     """
     n = box_arr.size
-    draws = _Draws(gen, samples)
-    X = draws.points(box_arr)
-    coord = draws.integers(n)
-    U = draws.random() if single_coordinate else draws.random(n)
-    frac = draws.random()
-
-    def block(lo, hi):
-        x, c, u = X(lo, hi), coord(lo, hi), U(lo, hi)
-        eps = box_arr[c] * (1e-4 + 0.5 * frac(lo, hi))
-        along = c[:, None] == np.arange(n)
-        if single_coordinate:
-            y = x + np.where(along, ((box_arr[c] - x[np.arange(len(x)), c]) * u)[:, None], 0.0)
-        else:
-            y = _above(box_arr, x, u)
-        step = np.where(along, eps[:, None], 0.0)
-        v = (value(y + step) - value(y)) - (value(x + step) - value(x))
-        return v, lambda i: (_pt(x[i]), _pt(y[i]), int(c[i]), float(eps[i]))
-
-    return _fold(name, VALUE_TOL, samples, block)
+    x = _points(box_arr, gen, rows)
+    c = gen.integers(0, n, size=rows)
+    u = gen.random(rows) if single_coordinate else gen.random((rows, n))
+    eps = box_arr[c] * (1e-4 + 0.5 * gen.random(rows))
+    along = c[:, None] == np.arange(n)
+    if single_coordinate:
+        y = x + np.where(along, ((box_arr[c] - x[np.arange(rows), c]) * u)[:, None], 0.0)
+    else:
+        y = _above(box_arr, x, u)
+    step = np.where(along, eps[:, None], 0.0)
+    v = (value(y + step) - value(y)) - (value(x + step) - value(x))
+    return v, lambda i: (_pt(x[i]), _pt(y[i]), int(c[i]), float(eps[i]))
 
 
-def _directional_concavity(value, box_arr, samples, gen) -> PropertyCheck:
+def _directional_concavity(value, box_arr, gen, rows):
     """Concavity along positive directions."""
-    draws = _Draws(gen, samples)
-    X, U = _ordered_pair(draws, box_arr)
-    lam = draws.random()
-
-    def block(lo, hi):
-        x, t = X(lo, hi), lam(lo, hi)
-        y = _above(box_arr, x, U(lo, hi))
-        mid = t[:, None] * x + (1.0 - t[:, None]) * y
-        v = t * value(x) + (1.0 - t) * value(y) - value(mid)
-        return v, lambda i: (_pt(x[i]), _pt(y[i]), float(t[i]))
-
-    return _fold("directional_concavity", VALUE_TOL, samples, block)
+    x, y = _ordered_pair(box_arr, gen, rows)
+    t = gen.random(rows)
+    mid = t[:, None] * x + (1.0 - t[:, None]) * y
+    v = t * value(x) + (1.0 - t) * value(y) - value(mid)
+    return v, lambda i: (_pt(x[i]), _pt(y[i]), float(t[i]))
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -446,30 +396,19 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, a.T)
 
 
-def _left_at_least_right(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
+def _left_at_least_right(expr: ELExpr, box_arr, gen, rows):
     """Left >= right wherever the left derivative exists."""
-    P = _Draws(gen, samples).points(box_arr)
-
-    def block(lo, hi):
-        p = P(lo, hi)
-        grad = one_sided_partials(expr, p)
-        gap = np.where(grad.defined_left, grad.right - grad.left, -np.inf)
-        return _row_max(gap), lambda i: (_pt(p[i]), int(np.argmax(gap[i])))
-
-    return _fold("left_at_least_right", DERIV_TOL, samples, block)
+    p = _points(box_arr, gen, rows)
+    grad = one_sided_partials(expr, p)
+    gap = np.where(grad.defined_left, grad.right - grad.left, -np.inf)
+    return _row_max(gap), lambda i: (_pt(p[i]), int(np.argmax(gap[i])))
 
 
-def _derivative_monotone(expr: ELExpr, box_arr, samples, gen) -> PropertyCheck:
+def _derivative_monotone(expr: ELExpr, box_arr, gen, rows):
     """Right derivatives do not increase along positive directions."""
-    X, U = _ordered_pair(_Draws(gen, samples), box_arr)
-
-    def block(lo, hi):
-        x = X(lo, hi)
-        y = _above(box_arr, x, U(lo, hi))
-        diff = one_sided_partials(expr, y).right - one_sided_partials(expr, x).right
-        return _row_max(diff), lambda i: (_pt(x[i]), _pt(y[i]), int(np.argmax(diff[i])))
-
-    return _fold("derivative_monotone", DERIV_TOL, samples, block)
+    x, y = _ordered_pair(box_arr, gen, rows)
+    diff = one_sided_partials(expr, y).right - one_sided_partials(expr, x).right
+    return _row_max(diff), lambda i: (_pt(x[i]), _pt(y[i]), int(np.argmax(diff[i])))
 
 
 def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
@@ -485,7 +424,7 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     curvature is not mistaken for a wrong derivative rule.
     """
     n = box_arr.size
-    P = _Draws(gen, _FD_POINTS).points(box_arr)(0, _FD_POINTS)
+    P = _points(box_arr, gen, _FD_POINTS)
     h = 1e-7 * np.maximum(1.0, np.max(np.abs(P), axis=1))
     base = eval_at(expr, P)
     grad = one_sided_partials(expr, P)
@@ -507,7 +446,7 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
             for row in np.nonzero(smooth)[0]:
                 viols.append(rel[row])
                 witnesses.append((_pt(P[row]), i, side))
-    return _listed("fd_agreement", FD_REL_TOL, viols, witnesses)
+    return _listed("fd_agreement", FD_REL_TOL, viols, witnesses, gen)
 
 
 def _ladder_limit(seq: np.ndarray) -> np.ndarray:
@@ -525,7 +464,7 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     the limit against the ladder extrapolated to ``eps = 0``.
     """
     n = box_arr.size
-    P = _Draws(gen, _LIMIT_POINTS).points(box_arr)(0, _LIMIT_POINTS)
+    P = _points(box_arr, gen, _LIMIT_POINTS)
     grad = one_sided_partials(expr, P)
     viols = []
     witnesses = []
@@ -549,7 +488,7 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
             for k, row in enumerate(np.nonzero(usable)[0]):
                 viols.append(max(float(mono[k]), float(conv[k])))
                 witnesses.append((_pt(P[row]), i, side))
-    return _listed("derivative_limits", LIMIT_TOL, viols, witnesses)
+    return _listed("derivative_limits", LIMIT_TOL, viols, witnesses, gen)
 
 
 def _sample_curve_inner(curve: Curve2D, samples: int, gen, margin: float) -> np.ndarray:
@@ -579,7 +518,8 @@ def check_feasible(
     """
     if expr.dim != surface.dim:
         raise DomainError(f"expression has dim {expr.dim}, surface has dim {surface.dim}")
-    samples = _sample_count(samples, 1, "check_feasible needs an integer count of at least one sample")
+    samples = _integer(samples, 1, "check_feasible needs an integer count of at least one sample")
+    seed = _integer(seed, 0, "check_feasible needs a non-negative integer seed")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if isinstance(surface, Hyperplane):
         margin = FEASIBLE_MARGIN_FRAC

@@ -307,15 +307,13 @@ class TruncateMin(ELExpr):
     def _partials(self, X):
         # At the cap the left limit comes from the inner function, the right
         # limit is zero; strictly above the cap (reachable only when queried
-        # off the evaluation path) both vanish.
-        v = self.inner._values(X)
+        # off the evaluation path) both vanish.  The values are repeated to
+        # the partials' shape: np.where over an (n, 1) mask broadcast to
+        # (n, k) runs n inner loops of length k, several times slower.
         li, ri = self.inner._partials(X)
+        v = np.repeat(self.inner._values(X), li.shape[1]).reshape(li.shape)
         atol = _TIE_TOL * max(1.0, abs(self.cap))
-        above = (v > self.cap + atol)[:, None]
-        below = (v < self.cap - atol)[:, None]
-        left = np.where(above, 0.0, li)
-        right = np.where(below, ri, 0.0)
-        return left, right
+        return np.where(v > self.cap + atol, 0.0, li), np.where(v < self.cap - atol, ri, 0.0)
 
     def _sup(self):
         return min(self.cap, self.inner._sup())

@@ -62,7 +62,6 @@ SLOPE_MIN = 1e-6
 SLOPE_MAX = 1e6
 
 _ENDPOINT_TOL = 1e-12
-_CONTAINS_TOL = 1e-9
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 
@@ -144,14 +143,6 @@ class Hyperplane:
     def intercepts(self) -> tuple[float, ...]:
         return tuple(self.M / v for v in self.c)
 
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
-            return False
-        if np.any(p < 0.0):
-            return False
-        return abs(float(np.dot(p, self.c)) - self.M) <= _CONTAINS_TOL * max(1.0, self.M)
-
     def _coeffs_2d(self) -> tuple[float, float]:
         if self.dim != 2:
             raise DomainError(f"alpha and beta need a 2-D hyperplane, got dim {self.dim}")
@@ -166,11 +157,6 @@ class Hyperplane:
         """Inverse of ``alpha``: ``(M - c_1 y) / c_0``."""
         c0, c1 = self._coeffs_2d()
         return (self.M - c1 * y) / c0
-
-    def normal_at(self, point=None) -> np.ndarray:
-        if point is not None and not self.contains(point):
-            raise DomainError(f"point {point!r} is not on the hyperplane")
-        return np.asarray(self.c, dtype=float)
 
     def validate(self) -> SurfaceValidationReport:
         # Positivity of c and M is enforced at construction time, so a
@@ -285,13 +271,6 @@ class Curve2D:
         sign = 1.0 if g0 > 0.0 else -1.0
         t_x = _bisect_decreasing(lambda x: sign * (float(self.alpha_prime(x)) + 1.0), 0.0, self.a, 0.0)
         return TPoint(t_x=t_x, t_y=float(self.alpha(t_x)))
-
-    def normal_at(self, x: float) -> np.ndarray:
-        """Outward normal ``(-alpha'(x), 1)`` at ``(x, alpha(x))``; not normalized."""
-        x = float(x)
-        if not 0.0 < x < self.a:
-            raise DomainError(f"normal requested at x={x}, outside (0, {self.a})")
-        return np.array([-float(self.alpha_prime(x)), 1.0])
 
     def validate(self) -> SurfaceValidationReport:
         violations: list[str] = []

@@ -170,8 +170,6 @@ def test_hyperplane_validate_and_helpers():
     report = plane.validate()
     assert report.valid and report.normal == (1.0, 2.0)
     assert plane.intercepts() == (1.0, 0.5)
-    assert plane.contains((0.5, 0.25))
-    assert not plane.contains((0.5, 0.5))
     # in 2-D the line offers the curve evaluators: alpha(x) = (1 - x) / 2, beta(y) = 1 - 2 y
     assert (plane.alpha(0.0), plane.alpha(0.5), plane.alpha(1.0)) == (0.5, 0.25, 0.0)
     assert (plane.beta(0.0), plane.beta(0.25), plane.beta(0.5)) == (1.0, 0.5, 0.0)
@@ -183,27 +181,12 @@ def test_hyperplane_validate_and_helpers():
         plane3.beta(0.5)
 
 
-def test_normal_operation():
-    plane = Hyperplane(c=(1.0, 4.0), M=2.0)
-    assert np.array_equal(plane.normal_at((1.0, 0.25)), np.array([1.0, 4.0]))
-    with pytest.raises(DomainError):
-        plane.normal_at((1.0, 1.0))
-
-    qc = QuadraticCurve(a=1.0, b=1.0, c2=0.5)
-    assert np.allclose(qc.normal_at(0.5), [1.0, 1.0])
-    qcc = QuadraticCurve(a=1.0, b=1.0, c2=-0.5)
-    assert np.allclose(qcc.normal_at(0.75), [1.25, 1.0])
-    with pytest.raises(DomainError):
-        qc.normal_at(1.5)
-
-
 def test_normals_stay_within_validated_slope_bounds(qc, qcc):
     for curve in (qc, qcc, hyperbola_through(2.0, 0.5, 0.4)):
         lo, hi = curve.validate().slope_range
         for x in np.linspace(1e-3, curve.a - 1e-3, 64):
-            nx, ny = curve.normal_at(float(x))
-            assert lo - 1e-12 <= nx <= hi + 1e-12
-            assert ny == 1.0
+            # the outward normal is (-alpha'(x), 1)
+            assert lo - 1e-12 <= -float(curve.alpha_prime(float(x))) <= hi + 1e-12
 
 
 def test_alpha_beta_domain_errors(qc):

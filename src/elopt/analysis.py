@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .constructions import construct
-from .errors import DomainError, UnboundedRangeError
+from .errors import DomainError, UnboundedRangeError, _integer
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
 from .lp_oracle import GridLP, LPSolution, build_lp, solve_lp
 from .surfaces import Curve2D, Hyperplane, Surface
@@ -182,13 +182,6 @@ def _value_batch(fn: Union[ELExpr, Callable]) -> Callable[[np.ndarray], np.ndarr
 
 def _pt(row) -> tuple[float, ...]:
     return tuple(float(v) for v in np.ravel(row))
-
-
-def _integer(value, least: int, need: str) -> int:
-    """``value`` as an ``int`` if it is an integer (not a bool) >= ``least``; else ``DomainError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise DomainError(f"{need}, got {value!r}")
-    return int(value)
 
 
 def check_el(
@@ -585,7 +578,7 @@ def lp_sweep(surface: Surface, ms: Sequence[int]) -> list[tuple[GridLP, LPSoluti
     re-raised.
     """
     lps = [build_lp(surface, m) for m in ms]
-    largest_first = sorted(range(len(ms)), key=lambda k: -ms[k])
+    largest_first = sorted(range(len(lps)), key=lambda k: -lps[k].m)
     return list(zip(lps, _run_tasks([partial(solve_lp, lp) for lp in lps], largest_first)))
 
 
@@ -608,11 +601,10 @@ def gap_report(
 
     lp_values = None
     lp_bound = None
-    if grid_m is not None:
-        ms = [int(m) for m in grid_m]
-        if ms:
-            lp_values = tuple((lp.m, sol.value) for lp, sol in lp_sweep(surface, ms))
-            lp_bound = max(v for _, v in lp_values)
+    ms = [] if grid_m is None else list(grid_m)
+    if ms:
+        lp_values = tuple((lp.m, sol.value) for lp, sol in lp_sweep(surface, ms))
+        lp_bound = max(v for _, v in lp_values)
 
     return BoundReport(
         surface=repr(surface),

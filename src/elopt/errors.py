@@ -1,4 +1,6 @@
-"""Semantic exception hierarchy shared by the whole package."""
+"""Semantic exception hierarchy shared by the whole package, and the integer-argument rule."""
+
+import numpy as np
 
 
 class EloptError(Exception):
@@ -27,3 +29,10 @@ class SolverError(EloptError, RuntimeError):
 
 class ConfigError(EloptError, ValueError):
     """Malformed CLI configuration document or flag combination."""
+
+
+def _integer(value, least: int, need: str) -> int:
+    """``value`` as an ``int`` if it is an integer (not a bool) >= ``least``; else ``DomainError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{need}, got {value!r}")
+    return int(value)

@@ -1,8 +1,11 @@
 """Grid-LP lower bound on the optimal feasible cost of a 2-D surface.
 
 The LP has one variable ``f(i, j)`` per node of an ``(m+1) x (m+1)`` grid on
-the surface's intercept box (steps ``h_x = X/m``, ``h_y = Y/m``, anisotropic
-when the box is not square) plus the objective scalar ``t``, and rows
+the surface's intercept box plus the objective scalar ``t``.  :class:`GridLP`
+owns the grid: ``nodes[d]`` holds the coordinates ``k h[d]`` along axis ``d``
+and ``h[d] = box[d]/m`` its step (anisotropic when the box is not square);
+node ``g`` is variable ``ravel_multi_index(g, shape)``.  Every row family
+but submodularity is written once per axis.  The rows are
 
 (i)    pointedness        ``f(0,0) = 0``;
 (ii)   corner monotonicity
@@ -77,7 +80,7 @@ from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, _integer
 from .exprs import ELExpr, eval_at
 from .surfaces import Surface
 
@@ -102,11 +105,11 @@ ROW_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GridLP:
-    m: int
-    h_x: float
-    h_y: float
-    n_vars: int
-    # rows geq @ z >= geq_rhs in CSR form, columns ascending within each row
+    # nodes[d][k] = k * h[d]; h is carried as built, not recomputed from nodes
+    nodes: tuple[np.ndarray, ...]
+    h: tuple[float, ...]
+    # rows geq @ z >= geq_rhs in CSR form, columns ascending within each row;
+    # z is the grid in row units followed by t
     geq_indptr: np.ndarray
     geq_indices: np.ndarray
     geq_data: np.ndarray
@@ -114,6 +117,18 @@ class GridLP:
     kinds: tuple[str, ...]
     crossing_rows: int
     surface: str
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(n.size for n in self.nodes)
+
+    @property
+    def m(self) -> int:
+        return self.nodes[0].size - 1
+
+    @property
+    def n_vars(self) -> int:
+        return math.prod(self.shape) + 1
 
     @cached_property
     def geq(self) -> sp.csr_matrix:
@@ -130,7 +145,7 @@ class GridLP:
 class LPSolution:
     value: float
     t: float
-    grid: np.ndarray            # (m+1, m+1); grid[i, j] = f(i h_x, j h_y)
+    grid: np.ndarray            # lp.shape; grid[i, j] = f(nodes[0][i], nodes[1][j])
     status: str                 # always "optimal"; kept for the tracer's counters
     iterations: int             # interior-point plus crossover iterations
 
@@ -143,82 +158,88 @@ class RestrictionReport:
     objective: float
 
 
+def _index_text(ids, shape: tuple[int, ...], sep: str) -> list[str]:
+    """The grid index of each flat variable id in ``ids``, its axes joined by ``sep``."""
+    index = np.unravel_index(np.ravel(ids), shape)
+    return [sep.join(map(str, node)) for node in zip(*(i.tolist() for i in index))]
+
+
 def build_lp(surface: Surface, m: int) -> GridLP:
     """Assemble the grid LP for a validated 2-D surface."""
     if surface.dim != 2:
         raise DomainError("the grid LP supports two-dimensional surfaces only")
-    if m < 4:
-        raise DomainError(f"need m >= 4, got {m}")
+    m = _integer(m, 4, "need m >= 4")
     if m > M_CAP:
         raise DomainError(f"m = {m} above the cap {M_CAP} (9.4k variables)")
     report = surface.validate()
     if not report.valid:
         raise DomainError(f"surface failed validation: {'; '.join(report.violations)}")
     box = surface.intercepts()
-    h = (box[0] / m, box[1] / m)
-    n_grid = m + 1
-    t_col = n_grid * n_grid
-    V = np.arange(t_col).reshape(n_grid, n_grid)  # V[i, j] is the column of f(i h_x, j h_y)
-    # Per axis d: its name, the letter of the grid-line index, the crossing of
-    # the surface with a grid line, and nodes[k, q] = node k along d on line q.
-    axes = (("x", "j", surface.beta, V), ("y", "i", surface.alpha, V.T))
+    h = tuple(side / m for side in box)
+    nodes = tuple(np.arange(m + 1) * step for step in h)
+    shape = tuple(n.size for n in nodes)
+    t_col = math.prod(shape)
+    V = np.arange(t_col).reshape(shape)  # V[i, j] is the column of f(nodes[0][i], nodes[1][j])
+    # axes[d][k, ...] are the columns of the nodes with index k along axis d
+    axes = [np.moveaxis(V, d, 0) for d in range(V.ndim)]
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     rhs: list[np.ndarray] = []
     kinds: list[str] = []
-    counter = 0
 
-    def add_block(term_cols, term_vals, rhs_val, kind, label_nodes):
-        """Rows ``sum_t term_vals[t] * z[term_cols[t]] >= rhs_val``, labelled ``kind[i,j]`` by node."""
-        nonlocal counter
-        k = np.size(term_cols[0])
-        base = counter
+    def add_block(term_cols, term_vals, rhs_val, labels):
+        """Rows ``sum_t term_vals[t] * z[term_cols[t]] >= rhs_val``, one per label."""
+        base = len(kinds)
+        k = len(labels)
         for col_arr, cf in zip(term_cols, term_vals):
             rows.append(base + np.arange(k))
             cols.append(np.ravel(col_arr))
             vals.append(np.full(k, float(cf)))
         rhs.append(np.full(k, float(rhs_val)))
-        if label_nodes is None:
-            kinds.append(kind)
-        else:
-            I, J = np.divmod(np.ravel(label_nodes), n_grid)
-            kinds.extend(f"{kind}[{i},{j}]" for i, j in zip(I.tolist(), J.tolist()))
-        counter += k
+        kinds.extend(labels)
 
-    # (ii) corner monotonicity; the other monotonicity rows are implied
-    for name, _, _, nodes in axes:
-        add_block([nodes[m, m], nodes[m - 1, m]], [1.0, -1.0], 0.0, f"mono_{name}", nodes[m - 1, m])
+    def at_nodes(kind, ids):
+        return [f"{kind}[{node}]" for node in _index_text(ids, shape, ",")]
+
+    # (ii) corner monotonicity; the other monotonicity rows are implied.
+    # A[k].flat[-1] is the node at index k along the axis and m on the others.
+    for name, A in zip("xy", axes):
+        below = A[m - 1].flat[-1]
+        add_block([A[m].flat[-1], below], [1.0, -1.0], 0.0, at_nodes(f"mono_{name}", below))
 
     # (iii) lattice submodularity on every cell
     add_block(
         [V[1:, :-1], V[:-1, 1:], V[:-1, :-1], V[1:, 1:]], [1.0, 1.0, -1.0, -1.0], 0.0,
-        "submod", V[:-1, :-1],
+        at_nodes("submod", V[:-1, :-1]),
     )
 
     # (iv) per-axis concavity; ravel("K") reads V's memory order, so the rows
-    # of both axes ascend by their first node
-    for name, _, _, nodes in axes:
-        first, mid, last = (nodes[s:s + m - 1].ravel("K") for s in range(3))
-        add_block([mid, first, last], [2.0, -1.0, -1.0], 0.0, f"conc_{name}", first)
+    # of every axis ascend by their first node
+    for name, A in zip("xy", axes):
+        first, mid, last = (A[s:s + m - 1].ravel("K") for s in range(3))
+        add_block([mid, first, last], [2.0, -1.0, -1.0], 0.0, at_nodes(f"conc_{name}", first))
 
-    # (v) crossing rows
+    # (v) crossing rows: axis d's grid lines run along d and sit at the nodes
+    # of the other axis, where the surface crosses them at c = beta or alpha
     crossings = 0
-    for d, (name, line, cross, nodes) in enumerate(axes):
+    for d, (cross, A) in enumerate(zip((surface.beta, surface.alpha), axes)):
         across = 1 - d
-        for q in range(n_grid):
-            c = cross(min(q * h[across], box[across]))
-            if not (-_CROSS_TIE <= c <= box[d] + _CROSS_TIE):
-                raise DomainError(f"surface exits the grid box at {'xy'[across]} = {q * h[across]!r}")
-            k = int(math.floor((c + _CROSS_TIE) / h[d]))
-            if 1 <= k <= m - 2:
-                add_block(
-                    [nodes[k, q], nodes[k - 1, q], nodes[k + 1, q], nodes[k + 2, q]],
-                    [1.0, -1.0, 1.0, -1.0], h[d],
-                    f"cross_{name}[{line}={q},k={k}]", None,
-                )
-                crossings += 1
+        c = cross(np.minimum(nodes[across], box[across]))
+        outside = ~((-_CROSS_TIE <= c) & (c <= box[d] + _CROSS_TIE))
+        if outside.any():
+            at = float(nodes[across][np.argmax(outside)])
+            raise DomainError(f"surface exits the grid box at {'xy'[across]} = {at!r}")
+        k = np.floor((c + _CROSS_TIE) / h[d]).astype(int)
+        q = np.flatnonzero((1 <= k) & (k <= m - 2))
+        k = k[q]
+        line = f"cross_{'xy'[d]}[{'ij'[across]}"
+        add_block(
+            [A[k, q], A[k - 1, q], A[k + 1, q], A[k + 2, q]], [1.0, -1.0, 1.0, -1.0], h[d],
+            [f"{line}={at},k={cell}]" for at, cell in zip(q.tolist(), k.tolist())],
+        )
+        crossings += q.size
     if crossings == 0:
         warnings.warn(
             "grid hosts no crossing row; the LP is valid but its bound is trivial",
@@ -226,19 +247,17 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         )
 
     # (vi) objective support rows: h_d * t >= f(e_d)
-    for d, (name, _, _, nodes) in enumerate(axes):
-        add_block([t_col, nodes[1, 0]], [h[d], -1.0], 0.0, f"obj_{name}", None)
+    for name, A, step in zip("xy", axes, h):
+        add_block([t_col, A[1].flat[0]], [step, -1.0], 0.0, [f"obj_{name}"])
 
     row_ids = np.concatenate(rows)
     col_ids = np.concatenate(cols)
     order = np.lexsort((col_ids, row_ids))
-    indptr = np.zeros(counter + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row_ids, minlength=counter), out=indptr[1:])
+    indptr = np.zeros(len(kinds) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row_ids, minlength=len(kinds)), out=indptr[1:])
     return GridLP(
-        m=m,
-        h_x=h[0],
-        h_y=h[1],
-        n_vars=t_col + 1,
+        nodes=nodes,
+        h=h,
         geq_indptr=indptr,
         geq_indices=col_ids[order].astype(np.int32),
         geq_data=np.concatenate(vals)[order],
@@ -351,46 +370,33 @@ def solve_lp(lp: GridLP) -> LPSolution:
     return LPSolution(
         value=value,
         t=float(x[-1]),
-        grid=x[:-1].reshape(lp.m + 1, lp.m + 1),
+        grid=x[:-1].reshape(lp.shape),
         status="optimal",
         iterations=iterations,
     )
 
 
 def grid_points(lp: GridLP) -> np.ndarray:
-    """Grid nodes as an ((m+1)^2, 2) batch ordered like the LP variables."""
-    n_grid = lp.m + 1
-    xs = np.arange(n_grid) * lp.h_x
-    ys = np.arange(n_grid) * lp.h_y
-    return np.column_stack([np.repeat(xs, n_grid), np.tile(ys, n_grid)])
+    """Grid nodes as a (nodes, dim) batch ordered like the LP variables."""
+    return np.stack(np.meshgrid(*lp.nodes, indexing="ij"), axis=-1).reshape(-1, len(lp.nodes))
 
 
 def restriction_check(lp: GridLP, expr: ELExpr) -> RestrictionReport:
     """Machine check of the soundness argument: a feasible function's grid restriction satisfies every row."""
     f = np.asarray(eval_at(expr, grid_points(lp)), dtype=float)
-    n_grid = lp.m + 1
-    t = max(f[1 * n_grid + 0] / lp.h_x, f[0 * n_grid + 1] / lp.h_y)
-    z = np.concatenate([f, [t]])
+    # f(e_d) / h_d for each axis d; eye(dim)'s rows index the unit nodes e_d
+    t = max(f.reshape(lp.shape)[tuple(np.eye(len(lp.h), dtype=int))] / lp.h)
+    z = np.append(f, t)
     residual = lp.geq @ z - lp.geq_rhs
-    violations = np.maximum(-residual, 0.0)
-    worst_idx = int(np.argmax(violations))
-    worst = float(violations[worst_idx])
-    origin = abs(float(f[0]))
-    if origin > worst:
-        worst_row = "point_origin"
-        worst = origin
-    else:
-        worst_row = lp.kinds[worst_idx]
+    # the pointedness row f(0,0) = 0 goes last, so it is the worst only when strictly worse
+    violations = np.append(np.maximum(-residual, 0.0), abs(z[0]))
+    worst = int(np.argmax(violations))
     return RestrictionReport(
-        satisfied=worst <= ROW_TOL,
-        max_violation=worst,
-        worst_row=worst_row,
+        satisfied=bool(violations[worst] <= ROW_TOL),
+        max_violation=float(violations[worst]),
+        worst_row=(*lp.kinds, "point_origin")[worst],
         objective=float(t),
     )
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def dump_lp(lp: GridLP, stream: TextIO) -> None:
@@ -399,23 +405,17 @@ def dump_lp(lp: GridLP, stream: TextIO) -> None:
     Variables follow the solver convention of default bounds ``0 <= var``,
     which matches how :func:`solve_lp` poses the problem.
     """
-    n_grid = lp.m + 1
-
-    def var_name(col: int) -> str:
-        if col == lp.n_vars - 1:
-            return "t"
-        return f"f_{col // n_grid}_{col % n_grid}"
-
+    names = [f"f_{node}" for node in _index_text(np.arange(lp.n_vars - 1), lp.shape, "_")] + ["t"]
     stream.write(f"\\ grid LP lower bound ({lp.surface}), m = {lp.m}\n")
     stream.write("Minimize\n obj: t\nSubject To\n")
     stream.write(" point_origin: f_0_0 = 0\n")
     indptr, indices, data = (a.tolist() for a in (lp.geq_indptr, lp.geq_indices, lp.geq_data))
-    for row in range(lp.geq_rhs.size):
+    for row, bound in enumerate(lp.geq_rhs.tolist()):
         start, end = indptr[row], indptr[row + 1]
         terms = []
         for col, val in zip(indices[start:end], data[start:end]):
             sign = "+" if val >= 0 else "-"
-            terms.append(f"{sign} {_fmt(abs(val))} {var_name(col)}")
+            terms.append(f"{sign} {abs(val)!r} {names[col]}")
         label = lp.kinds[row].replace("[", "_").replace("]", "").replace(",", "_").replace("=", "")
-        stream.write(f" {label}_r{row}: {' '.join(terms)} >= {_fmt(lp.geq_rhs[row])}\n")
+        stream.write(f" {label}_r{row}: {' '.join(terms)} >= {bound!r}\n")
     stream.write("End\n")

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from elopt import (
     concave_construct,
     convex_plateau,
     dump_lp,
+    gap_report,
     grid_points,
     linear_opt,
     restriction_check,
@@ -47,7 +49,9 @@ def test_row_census_m4(h11):
     assert sum(k.startswith("cross_") for k in kinds) == 4
     assert lp.crossing_rows == 4
     assert lp.geq.shape == (len(kinds), 26)
-    assert lp.h_x == lp.h_y == 0.25
+    assert lp.h == (0.25, 0.25)
+    assert [n.tolist() for n in lp.nodes] == [[0.0, 0.25, 0.5, 0.75, 1.0]] * 2
+    assert lp.shape == (5, 5) and lp.m == 4
 
 
 def test_crossing_cells_sit_astride_the_surface(h11):
@@ -68,6 +72,15 @@ def test_build_input_validation(h11):
         build_lp(Hyperplane(c=(1.0, 1.0, 1.0), M=1.0), 8)
     with pytest.raises(ValueError):
         build_lp(QuadraticCurve(a=1.0, b=1.0, c2=1.0), 8)  # degenerate arc
+    # m follows check_el's integer rule: no floats, strings, None or bools
+    for bad in (8.0, 8.9, "8", None, True):
+        with pytest.raises(DomainError, match=f"^need m >= 4, got {re.escape(repr(bad))}$"):
+            build_lp(h11, bad)
+    lp = build_lp(h11, np.int64(8))
+    assert lp.m == 8 and type(lp.m) is int
+    # the sweep takes m through the same rule rather than truncating it
+    with pytest.raises(DomainError, match="^need m >= 4, got 8.9$"):
+        gap_report(h11, grid_m=[8.9])
 
 
 def test_symmetric_plane_reaches_its_optimum(h11):
@@ -122,8 +135,7 @@ def _with_all_monotonicity_rows(lp):
     """The LP plus every row f(g + e_d) >= f(g), the rows build_lp leaves implied."""
     import scipy.sparse as sp
 
-    n_grid = lp.m + 1
-    ids = np.arange(n_grid * n_grid).reshape(n_grid, n_grid)
+    ids = np.arange(lp.n_vars - 1).reshape(lp.shape)
     up = np.concatenate([ids[1:, :].ravel(), ids[:, 1:].ravel()])
     low = np.concatenate([ids[:-1, :].ravel(), ids[:, :-1].ravel()])
     k = up.size
@@ -266,7 +278,7 @@ def test_grid_points_order_matches_variables(h11):
     lp = build_lp(h11, 4)
     pts = grid_points(lp)
     assert pts.shape == (25, 2)
-    # variable id i * (m+1) + j maps to (i h_x, j h_y)
+    # variable id i * (m+1) + j maps to (nodes[0][i], nodes[1][j])
     assert np.allclose(pts[7], [0.25, 0.5])
 
 

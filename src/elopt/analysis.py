@@ -601,9 +601,8 @@ def gap_report(
 
     lp_values = None
     lp_bound = None
-    ms = [] if grid_m is None else list(grid_m)
-    if ms:
-        lp_values = tuple((lp.m, sol.value) for lp, sol in lp_sweep(surface, ms))
+    if grid_m:
+        lp_values = tuple((lp.m, sol.value) for lp, sol in lp_sweep(surface, grid_m))
         lp_bound = max(v for _, v in lp_values)
 
     return BoundReport(

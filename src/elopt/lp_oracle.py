@@ -8,10 +8,8 @@ node ``g`` is variable ``ravel_multi_index(g, shape)``.  Every row family
 but submodularity is written once per axis.  The rows are
 
 (i)    pointedness        ``f(0,0) = 0``;
-(ii)   corner monotonicity
-                          ``f(m,m) >= f(m-1,m)`` and ``f(m,m) >= f(m,m-1)``;
-(iii)  lattice submodularity
-                          ``f(g+e_x) + f(g+e_y) >= f(g) + f(g+e_x+e_y)``;
+(ii)   corner monotonicity ``f(m,m) >= f(m-1,m)`` and ``f(m,m) >= f(m,m-1)``;
+(iii)  lattice submodularity ``f(g+e_x) + f(g+e_y) >= f(g) + f(g+e_x+e_y)``;
 (iv)   per-axis concavity ``f(g+e_d) - f(g) >= f(g+2 e_d) - f(g+e_d)``;
 (v)    crossing rows: on each grid line in direction ``d`` crossing the
        surface at coordinate ``c`` with ``k h_d <= c <= (k+1) h_d`` and
@@ -36,27 +34,29 @@ LP-feasible with objective at most ``cost(f)``, and minimising over the
 larger LP polytope can only go lower.  The restriction argument is machine-
 checked by :func:`restriction_check`.
 
-Crossings that fall on a grid node use the same cells (the quotients stay on
-the correct sides of the crossing); the tie window is 1e-12.  Out-of-range
-crossings are skipped, which only weakens the relaxation.  The LP is always
-feasible (the restriction of any feasible function is a witness; with no
-crossing rows the zero function already satisfies everything) and bounded
-below by 0, so a deterministic solve returns a finite optimum.
-:func:`solve_lp` is the one place that decides whether a solve is usable:
-any HiGHS status other than optimal raises ``SolverError``, so every
-:class:`LPSolution` holds an optimum.
+The rows measure ``f`` in units of ``scale = 2**round(log2(max(box)))``, so
+the crossing right-hand sides and objective coefficients are ``h_d / scale``
+for a box of any size.  HiGHS's tolerances are absolute; in the box's own
+units an LP solved above the ratio bound on a box near 4e9 and was reported
+infeasible on one near 4e-6 (Neumaier & Shcherbina, Math. Prog. 99, 2004,
+warn against such rows).  A power of two scales exactly: :func:`solve_lp`
+multiplies the grid back, :func:`restriction_check` divides ``f`` by it, and
+:func:`dump_lp` writes the scaled model.  The crossing search works on
+``c / scale``, with a tie window of 1e-12: crossings that fall on a grid node
+use the same cells (the quotients stay on the correct sides of the crossing),
+and out-of-range crossings are skipped, which only weakens the relaxation.
+The LP is feasible at every scale (the restriction of any feasible function
+is a witness; with no crossing rows the zero function satisfies everything)
+and bounded below by 0, so a deterministic solve returns a finite optimum.
 
-The solve is delegated to the interior-point method of HiGHS, followed by
-crossover to an optimal vertex with basic duals; both phases are
-deterministic and single-threaded.  scipy only ships the HiGHS extension:
-:func:`solve_lp` loads ``scipy/optimize/_highspy/_core`` by file path on the
-first solve and imports no scipy Python package.  HiGHS gets the model that
-``linprog(method="highs-ipm")`` would pass it, with linprog's options but
-presolve off, so values, grids and iteration counts are those of that call
-with ``options={"presolve": False}``.  Presolve removes only the fixed
-column ``f(0,0)`` and its equality row, yet the reduced copy of the model it
-keeps raises peak memory of an m = 48 solve by 2-4 MB.  ``m`` is capped at
-96 (about 9.4k variables) to keep desk-scale runtimes.
+HiGHS solves it by interior point, then crossover to an optimal vertex with
+basic duals; both phases are deterministic and single-threaded.  scipy only
+ships the HiGHS extension: :func:`solve_lp` loads
+``scipy/optimize/_highspy/_core`` by file path on the first solve and imports
+no scipy Python package.  Presolve is off: it removes only the fixed column
+``f(0,0)`` and its equality row, yet the reduced copy of the model it keeps
+raises peak memory of an m = 48 solve by 2-4 MB.  ``m`` is capped at 96
+(about 9.4k variables) to keep desk-scale runtimes.
 
 Independent instances (an ``m`` sweep, :func:`elopt.analysis.lp_sweep`) are
 safe to solve on concurrent threads: the inputs are immutable, every solve
@@ -108,8 +108,9 @@ class GridLP:
     # nodes[d][k] = k * h[d]; h is carried as built, not recomputed from nodes
     nodes: tuple[np.ndarray, ...]
     h: tuple[float, ...]
+    scale: float                # the power of two the rows measure f in
     # rows geq @ z >= geq_rhs in CSR form, columns ascending within each row;
-    # z is the grid in row units followed by t
+    # z is the grid divided by scale, followed by t
     geq_indptr: np.ndarray
     geq_indices: np.ndarray
     geq_data: np.ndarray
@@ -158,10 +159,11 @@ class RestrictionReport:
     objective: float
 
 
-def _index_text(ids, shape: tuple[int, ...], sep: str) -> list[str]:
-    """The grid index of each flat variable id in ``ids``, its axes joined by ``sep``."""
+def _node_names(ids, shape: tuple[int, ...], head: str, sep: str, tail: str = "") -> list[str]:
+    """``head``, the grid index of each flat variable id in ``ids`` (axes joined by ``sep``), ``tail``."""
     index = np.unravel_index(np.ravel(ids), shape)
-    return [sep.join(map(str, node)) for node in zip(*(i.tolist() for i in index))]
+    template = head + sep.join(["{}"] * len(shape)) + tail
+    return [template.format(*node) for node in zip(*(i.tolist() for i in index))]
 
 
 def build_lp(surface: Surface, m: int) -> GridLP:
@@ -176,32 +178,29 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         raise DomainError(f"surface failed validation: {'; '.join(report.violations)}")
     box = surface.intercepts()
     h = tuple(side / m for side in box)
+    scale = 2.0 ** round(math.log2(max(box)))
     nodes = tuple(np.arange(m + 1) * step for step in h)
-    shape = tuple(n.size for n in nodes)
-    t_col = math.prod(shape)
-    V = np.arange(t_col).reshape(shape)  # V[i, j] is the column of f(nodes[0][i], nodes[1][j])
+    # V[i, j] is the column of f(nodes[0][i], nodes[1][j]); t's column is V.size
+    V = np.arange((m + 1) ** len(box)).reshape((m + 1,) * len(box))
     # axes[d][k, ...] are the columns of the nodes with index k along axis d
     axes = [np.moveaxis(V, d, 0) for d in range(V.ndim)]
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
+    cols: list[np.ndarray] = []  # one (rows, terms) array per block, ascending along each row
     vals: list[np.ndarray] = []
     rhs: list[np.ndarray] = []
     kinds: list[str] = []
 
     def add_block(term_cols, term_vals, rhs_val, labels):
         """Rows ``sum_t term_vals[t] * z[term_cols[t]] >= rhs_val``, one per label."""
-        base = len(kinds)
-        k = len(labels)
-        for col_arr, cf in zip(term_cols, term_vals):
-            rows.append(base + np.arange(k))
-            cols.append(np.ravel(col_arr))
-            vals.append(np.full(k, float(cf)))
-        rhs.append(np.full(k, float(rhs_val)))
+        block = np.stack(np.broadcast_arrays(*map(np.ravel, term_cols)), axis=1)
+        order = np.argsort(block, axis=1)
+        cols.append(np.take_along_axis(block, order, axis=1))
+        vals.append(np.array(term_vals)[order])
+        rhs.append(np.full(len(labels), float(rhs_val)))
         kinds.extend(labels)
 
     def at_nodes(kind, ids):
-        return [f"{kind}[{node}]" for node in _index_text(ids, shape, ",")]
+        return _node_names(ids, V.shape, f"{kind}[", ",", "]")
 
     # (ii) corner monotonicity; the other monotonicity rows are implied.
     # A[k].flat[-1] is the node at index k along the axis and m on the others.
@@ -226,17 +225,17 @@ def build_lp(surface: Surface, m: int) -> GridLP:
     crossings = 0
     for d, (cross, A) in enumerate(zip((surface.beta, surface.alpha), axes)):
         across = 1 - d
-        c = cross(np.minimum(nodes[across], box[across]))
-        outside = ~((-_CROSS_TIE <= c) & (c <= box[d] + _CROSS_TIE))
+        c = cross(np.minimum(nodes[across], box[across])) / scale
+        outside = ~((-_CROSS_TIE <= c) & (c <= box[d] / scale + _CROSS_TIE))
         if outside.any():
             at = float(nodes[across][np.argmax(outside)])
             raise DomainError(f"surface exits the grid box at {'xy'[across]} = {at!r}")
-        k = np.floor((c + _CROSS_TIE) / h[d]).astype(int)
+        k = np.floor((c + _CROSS_TIE) / (h[d] / scale)).astype(int)
         q = np.flatnonzero((1 <= k) & (k <= m - 2))
         k = k[q]
         line = f"cross_{'xy'[d]}[{'ij'[across]}"
         add_block(
-            [A[k, q], A[k - 1, q], A[k + 1, q], A[k + 2, q]], [1.0, -1.0, 1.0, -1.0], h[d],
+            [A[k, q], A[k - 1, q], A[k + 1, q], A[k + 2, q]], [1.0, -1.0, 1.0, -1.0], h[d] / scale,
             [f"{line}={at},k={cell}]" for at, cell in zip(q.tolist(), k.tolist())],
         )
         crossings += q.size
@@ -248,19 +247,18 @@ def build_lp(surface: Surface, m: int) -> GridLP:
 
     # (vi) objective support rows: h_d * t >= f(e_d)
     for name, A, step in zip("xy", axes, h):
-        add_block([t_col, A[1].flat[0]], [step, -1.0], 0.0, [f"obj_{name}"])
+        add_block([V.size, A[1].flat[0]], [step / scale, -1.0], 0.0, [f"obj_{name}"])
 
-    row_ids = np.concatenate(rows)
-    col_ids = np.concatenate(cols)
-    order = np.lexsort((col_ids, row_ids))
     indptr = np.zeros(len(kinds) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row_ids, minlength=len(kinds)), out=indptr[1:])
+    terms = [block.shape[1] for block in cols]
+    np.cumsum(np.repeat(terms, [len(block) for block in cols]), out=indptr[1:])
     return GridLP(
         nodes=nodes,
         h=h,
+        scale=scale,
         geq_indptr=indptr,
-        geq_indices=col_ids[order].astype(np.int32),
-        geq_data=np.concatenate(vals)[order],
+        geq_indices=np.concatenate([block.ravel() for block in cols]).astype(np.int32),
+        geq_data=np.concatenate([block.ravel() for block in vals]),
         geq_rhs=np.concatenate(rhs),
         kinds=tuple(kinds),
         crossing_rows=crossings,
@@ -370,7 +368,7 @@ def solve_lp(lp: GridLP) -> LPSolution:
     return LPSolution(
         value=value,
         t=float(x[-1]),
-        grid=x[:-1].reshape(lp.shape),
+        grid=x[:-1].reshape(lp.shape) * lp.scale,
         status="optimal",
         iterations=iterations,
     )
@@ -386,7 +384,7 @@ def restriction_check(lp: GridLP, expr: ELExpr) -> RestrictionReport:
     f = np.asarray(eval_at(expr, grid_points(lp)), dtype=float)
     # f(e_d) / h_d for each axis d; eye(dim)'s rows index the unit nodes e_d
     t = max(f.reshape(lp.shape)[tuple(np.eye(len(lp.h), dtype=int))] / lp.h)
-    z = np.append(f, t)
+    z = np.append(f / lp.scale, t)
     residual = lp.geq @ z - lp.geq_rhs
     # the pointedness row f(0,0) = 0 goes last, so it is the worst only when strictly worse
     violations = np.append(np.maximum(-residual, 0.0), abs(z[0]))
@@ -405,7 +403,7 @@ def dump_lp(lp: GridLP, stream: TextIO) -> None:
     Variables follow the solver convention of default bounds ``0 <= var``,
     which matches how :func:`solve_lp` poses the problem.
     """
-    names = [f"f_{node}" for node in _index_text(np.arange(lp.n_vars - 1), lp.shape, "_")] + ["t"]
+    names = _node_names(np.arange(lp.n_vars - 1), lp.shape, "f_", "_") + ["t"]
     stream.write(f"\\ grid LP lower bound ({lp.surface}), m = {lp.m}\n")
     stream.write("Minimize\n obj: t\nSubject To\n")
     stream.write(" point_origin: f_0_0 = 0\n")

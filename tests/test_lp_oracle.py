@@ -22,6 +22,7 @@ from elopt import (
     gap_report,
     grid_points,
     linear_opt,
+    normal_ratio_bound,
     restriction_check,
     solve_lp,
 )
@@ -263,6 +264,38 @@ def _contradicted(lp):
     )
 
 
+@pytest.mark.parametrize(
+    "c, M",
+    [
+        # intercepts near 4e9: the LP came out above the ratio bound
+        ((7.331379986375735e-06, 6.702125547625035e-06), 27634.28708985404),
+        # intercepts near 4e-6 and 3e-9: HiGHS reported the LP infeasible
+        ((13.519482880241238, 15625.863876729845), 5.383640226392579e-05),
+        # intercepts near 4e4 and 2e7: the crossing search refused the plane
+        ((24.511798867973503, 0.039750096430170155), 970519.3363920443),
+    ],
+)
+def test_badly_scaled_planes_solve_below_the_ratio_bound(c, M):
+    plane = Hyperplane(c=c, M=M)
+    ratio = normal_ratio_bound(plane).value
+    for m in (7, 16):
+        assert solve_lp(build_lp(plane, m)).value <= ratio * (1 + 1e-6)
+
+
+def test_arc_scaled_by_a_power_of_two_solves_like_the_unit_arc(qc):
+    # alpha scaled by 2^-30 in both axes: the rows, in units of the box, are
+    # the unit arc's, so the solve is too
+    lam = 2.0**-30
+    unit_lp = build_lp(qc, 16)
+    small_lp = build_lp(QuadraticCurve(a=lam, b=lam, c2=qc.c2 / lam), 16)
+    assert (unit_lp.scale, small_lp.scale) == (1.0, lam)
+    assert small_lp.geq_data.tobytes() == unit_lp.geq_data.tobytes()
+    assert small_lp.geq_rhs.tobytes() == unit_lp.geq_rhs.tobytes()
+    unit, small = solve_lp(unit_lp), solve_lp(small_lp)
+    assert small.value == unit.value
+    assert small.grid.tobytes() == (unit.grid * lam).tobytes()
+
+
 def test_lp_without_crossing_rows_collapses_to_zero(h11):
     sol = solve_lp(_stripped(build_lp(h11, 4)))
     assert sol.status == "optimal"
@@ -350,7 +383,8 @@ def test_solve_matches_linprog_bit_for_bit(h11, h12, qc, qcc):
         assert sol.iterations == ref.nit + ref.crossover_nit, lp.surface
         assert sol.value == ref.fun
         assert sol.t == ref.x[-1]
-        assert sol.grid.tobytes() == ref.x[:-1].tobytes()
+        # the rows measure f in units of lp.scale, a power of two
+        assert sol.grid.tobytes() == (ref.x[:-1] * lp.scale).tobytes()
     # what linprog reports as infeasible (status 2), solve_lp raises
     contradicted = _contradicted(build_lp(h11, 4))
     assert _linprog_reference(contradicted).status == 2

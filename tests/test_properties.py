@@ -18,9 +18,11 @@ from elopt import (  # noqa: E402
     Hyperplane,
     LineCurve,
     QuadraticCurve,
+    build_lp,
     check_feasible,
     construct,
     normal_ratio_bound,
+    solve_lp,
 )
 from helpers import assert_matches_tie_oracle, tie_batch  # noqa: E402
 
@@ -93,8 +95,12 @@ def test_linear_claims_meet_the_ratio_bound_and_are_feasible():
             surface = Hyperplane(c=tuple(v[: 2 if kind == "hyperplane_2d" else 3]), M=v[3])
         hypothesis.assume(surface.validate().valid)
         built = construct(surface)
-        assert built.claimed_cost == pytest.approx(normal_ratio_bound(surface).value, rel=1e-12, abs=0.0)
+        ratio = normal_ratio_bound(surface).value
+        assert built.claimed_cost == pytest.approx(ratio, rel=1e-12, abs=0.0)
         assert check_feasible(built.expr, surface).feasible
+        if surface.dim == 2:
+            # the grid LP is a lower bound at every scale of the box
+            assert solve_lp(build_lp(surface, 7)).value <= ratio * (1 + 1e-6)
         kinds.add(kind)
 
     claim_is_the_bound()

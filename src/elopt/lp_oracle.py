@@ -233,10 +233,10 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         k = np.floor((c + _CROSS_TIE) / (h[d] / scale)).astype(int)
         q = np.flatnonzero((1 <= k) & (k <= m - 2))
         k = k[q]
-        line = f"cross_{'xy'[d]}[{'ij'[across]}"
+        head = f"cross_{'xy'[d]}[{'ij'[across]}"
         add_block(
             [A[k, q], A[k - 1, q], A[k + 1, q], A[k + 2, q]], [1.0, -1.0, 1.0, -1.0], h[d] / scale,
-            [f"{line}={at},k={cell}]" for at, cell in zip(q.tolist(), k.tolist())],
+            [f"{head}={line},k={cell}]" for line, cell in zip(q.tolist(), k.tolist())],
         )
         crossings += q.size
     if crossings == 0:

@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .constructions import construct
-from .errors import DomainError, UnboundedRangeError, _integer
+from .errors import DomainError, _integer
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
 from .lp_oracle import GridLP, LPSolution, build_lp, solve_lp
 from .surfaces import Curve2D, Hyperplane, Surface
@@ -594,10 +594,7 @@ def gap_report(
     """
     result = construct(surface)
     bound = normal_ratio_bound(surface)
-    try:
-        total = cost_total(result.expr)
-    except UnboundedRangeError:
-        total = None
+    total = cost_total(result.expr)
 
     lp_values = None
     lp_bound = None

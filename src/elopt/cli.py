@@ -67,7 +67,6 @@ from .errors import (
     EloptError,
     ShapeError,
     SolverError,
-    UnboundedRangeError,
 )
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
 from .lp_oracle import dump_lp
@@ -167,13 +166,6 @@ def _build_constructions(job: _Job) -> list[ConstructionResult]:
     return results
 
 
-def _total_or_none(expr: ELExpr) -> Optional[float]:
-    try:
-        return cost_total(expr)
-    except UnboundedRangeError:
-        return None
-
-
 def _cmd_validate(job: _Job, args) -> int:
     report = job.surface.validate()
     lines = [f"kind: {report.kind}", f"valid: {report.valid}"]
@@ -209,7 +201,7 @@ def _cmd_construct(job: _Job, args) -> int:
     payload = []
     lines = []
     for res in results:
-        total = _total_or_none(res.expr)
+        total = cost_total(res.expr)
         path = job.out / f"{res.kind}.expr.json"
         path.write_text(dumps(expr_to_dict(res.expr)))
         payload.append(

@@ -19,10 +19,6 @@ class ConstructionError(EloptError, RuntimeError):
     """A builder could not produce a verified feasible function."""
 
 
-class UnboundedRangeError(EloptError, ValueError):
-    """Total cost requested for a function with unbounded range."""
-
-
 class SolverError(EloptError, RuntimeError):
     """LP solve failed (iteration budget or numerical breakdown)."""
 

@@ -31,7 +31,7 @@ as an exception.
 
 Two cost functionals complete the module: :func:`cost`, the largest right
 partial derivative at the origin, and :func:`cost_total`, the supremum of
-the range (an error for unbounded expressions).
+the range (``None`` for unbounded expressions).
 
 Values are immutable after construction and all operations are pure, so
 expressions may be evaluated concurrently from many workers.
@@ -42,11 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, ShapeError, UnboundedRangeError
+from .errors import ConstructionError, DomainError, ShapeError
 from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, Curve2D, TPoint
 
 __all__ = [
@@ -620,7 +620,7 @@ class ConcaveStep(_CurveConstruction):
     * every slope ``-alpha' <= 1``: ``f = x + min(y, alpha_lin(x))``.
 
     These single-branch forms are unbounded whenever the continuation slope
-    is non-zero, so ``cost_total`` rejects them.
+    is non-zero, and then ``cost_total`` is ``None``.
     """
 
     curve: Curve2D
@@ -683,9 +683,7 @@ def cost(expr: ELExpr) -> float:
     return float(np.max(grad.right))
 
 
-def cost_total(expr: ELExpr) -> float:
-    """Supremum of the range (total-size cost); raises for unbounded expressions."""
+def cost_total(expr: ELExpr) -> Optional[float]:
+    """Supremum of the range (total-size cost); ``None`` for unbounded expressions."""
     s = expr._sup()
-    if not math.isfinite(s):
-        raise UnboundedRangeError("cost_total undefined for unbounded EL function")
-    return float(s)
+    return float(s) if math.isfinite(s) else None

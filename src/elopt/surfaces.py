@@ -3,9 +3,9 @@
 Two kinds of surface are supported:
 
 * :class:`Hyperplane` -- the set ``sum(c_i x_i) = M`` intersected with the
-  orthant, in any dimension ``n >= 1``, with strictly positive ``c`` and
-  ``M``.  Its outward normal is the constant vector ``c``.  In 2-D it also
-  offers the curve evaluators ``alpha`` and ``beta`` (without snapping).
+  orthant, in any dimension ``n >= 1``, with strictly positive ``c``, ``M``
+  and intercepts ``M / c_i``.  Its outward normal is the constant vector ``c``.
+  In 2-D it also offers ``alpha`` and ``beta`` (without snapping).
 * two-dimensional analytic curves running from ``(0, b)`` down to ``(a, 0)``:
   :class:`LineCurve`, :class:`QuadraticCurve` and :class:`HyperbolaCurve`.
   A curve is the graph ``{(x, alpha(x)) : 0 <= x <= a}`` of a strictly
@@ -21,22 +21,22 @@ violated clauses instead.  Malformed input (``a <= 0``, non-finite numbers)
 raises ``ValueError`` at construction time.
 
 Only analytic families are provided: the constructions consume ``alpha'``
-pointwise, so a sampled or piecewise-linear curve would wreck derivative
-exactness.  ``alpha`` and ``beta`` snap their values at the interval
-endpoints to the exact intercepts; ``validate`` separately checks that the
-raw closed forms agree with the intercepts to 1e-12, which catches
-inconsistent parameter sets.
+pointwise and the seam ``alpha' = -1`` in closed form, so a sampled or
+piecewise-linear curve would wreck derivative exactness.  ``alpha`` and
+``beta`` snap their values at the interval endpoints to the exact
+intercepts; ``validate`` separately checks that the raw closed forms agree
+with the intercepts to 1e-12, which catches inconsistent parameter sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, EloptError
+from .errors import DomainError
 
 __all__ = [
     "SHAPE_LINEAR",
@@ -62,8 +62,6 @@ SLOPE_MIN = 1e-6
 SLOPE_MAX = 1e6
 
 _ENDPOINT_TOL = 1e-12
-_BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -71,35 +69,6 @@ def _require_positive(name: str, value: float) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     return value
-
-
-def _bisect_decreasing(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-) -> float:
-    """Solve ``fn(x) = target`` for strictly decreasing ``fn`` on ``[lo, hi]``.
-
-    Deterministic plain bisection; the iteration cap is a hard error so the
-    call always terminates.
-    """
-    flo = fn(lo) - target
-    fhi = fn(hi) - target
-    if flo < 0.0 or fhi > 0.0:
-        raise ValueError("target outside the range of fn on [lo, hi]")
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= _BISECT_TOL:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid) - target
-        if fm > 0.0:
-            lo = mid
-        elif fm < 0.0:
-            hi = mid
-        else:
-            return mid
-    raise EloptError(f"bisection did not converge within {_BISECT_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -159,19 +128,20 @@ class Hyperplane:
         return (self.M - c1 * y) / c0
 
     def validate(self) -> SurfaceValidationReport:
-        # Positivity of c and M is enforced at construction time, so a
-        # constructed hyperplane always satisfies the surface requirements.
-        return SurfaceValidationReport(
-            kind="hyperplane", valid=True, violations=(), normal=self.c
+        # c and M are positive by construction, but M / c_i can overflow or underflow.
+        violations = tuple(
+            f"intercept M / c[{i}] = {v!r} is not a finite positive number"
+            for i, v in enumerate(self.intercepts()) if not 0.0 < v < math.inf
         )
+        return SurfaceValidationReport("hyperplane", not violations, violations, normal=self.c)
 
 
 class Curve2D:
     """Strictly decreasing analytic curve from ``(0, b)`` to ``(a, 0)``.
 
     Subclasses provide the raw closed forms ``_alpha_raw``, ``_beta_raw``,
-    ``alpha_prime`` and ``alpha_second``; everything else (snapping,
-    inverse-derivative rule, normal-point search, validation) is shared.
+    ``alpha_prime``, ``alpha_second`` and the seam root ``_seam_x``;
+    everything else (snapping, inverse-derivative rule, validation) is shared.
     All evaluators accept scalars or numpy arrays.
     """
 
@@ -194,6 +164,10 @@ class Curve2D:
         raise NotImplementedError
 
     def alpha_second(self, x):
+        raise NotImplementedError
+
+    def _seam_x(self) -> float:
+        """Root of ``alpha'(x) = -1``; asked for only when the slopes straddle 1."""
         raise NotImplementedError
 
     def _derived_shape(self) -> str:
@@ -257,19 +231,14 @@ class Curve2D:
     def t_point(self) -> Optional[TPoint]:
         """Point with outward normal (1, 1), i.e. ``alpha'(t) = -1``.
 
-        Solved by bisection on the monotone ``alpha'`` to 1e-12; ``None``
-        when ``alpha' + 1`` does not change sign strictly on ``(0, a)``
-        (this includes the degenerate 45-degree line, where it vanishes
-        identically).
+        ``None`` unless the slope range straddles 1 strictly (so never on a
+        line, the 45-degree one included).  The family's closed-form root is
+        clamped into ``[0, a]``, which it can leave only by rounding.
         """
-        g0 = float(self.alpha_prime(0.0)) + 1.0
-        ga = float(self.alpha_prime(self.a)) + 1.0
-        if g0 == 0.0 or ga == 0.0 or (g0 > 0.0) == (ga > 0.0):
+        s_lo, s_hi = self.slope_range()
+        if not s_lo < 1.0 < s_hi:
             return None
-        # Flip the sign so that the bisected function decreases; negation is
-        # exact, so the midpoints are those of the unflipped search.
-        sign = 1.0 if g0 > 0.0 else -1.0
-        t_x = _bisect_decreasing(lambda x: sign * (float(self.alpha_prime(x)) + 1.0), 0.0, self.a, 0.0)
+        t_x = min(max(self._seam_x(), 0.0), self.a)
         return TPoint(t_x=t_x, t_y=float(self.alpha(t_x)))
 
     def validate(self) -> SurfaceValidationReport:
@@ -401,6 +370,9 @@ class QuadraticCurve(Curve2D):
     def alpha_second(self, x):
         return np.full_like(np.asarray(x, dtype=float), 2.0 * self.c2)[()]
 
+    def _seam_x(self) -> float:
+        return (-1.0 - self.c1) / (2.0 * self.c2)
+
 
 @dataclass(frozen=True)
 class HyperbolaCurve(Curve2D):
@@ -441,6 +413,9 @@ class HyperbolaCurve(Curve2D):
     def alpha_second(self, x):
         d = np.asarray(x, dtype=float) + self.s
         return 2.0 * self.kappa / (d * d * d)
+
+    def _seam_x(self) -> float:
+        return math.sqrt(self.kappa) - self.s
 
 
 Surface = Union[Hyperplane, Curve2D]

@@ -119,6 +119,24 @@ def test_bad_numbers_exit_2_with_one_line(tmp_path, capsys, case):
     assert err.startswith(("config error: ", "error: ")) and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "bound", "construct", "check", "lp", "report", "sample"])
+@pytest.mark.parametrize("c, M", [([1e-300, 1.0], 1e10), ([1e300, 1.0], 1e-30)], ids=["inf", "zero"])
+def test_planes_with_an_intercept_out_of_range_exit_3(tmp_path, capsys, command, c, M):
+    # M / c_0 overflows to inf or underflows to 0
+    cfg = write_config(tmp_path, {"kind": "hyperplane", "c": c, "M": M})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 3
+    captured = capsys.readouterr()
+    assert "is not a finite positive number" in captured.out + captured.err
+
+
+def test_large_hyperbola_has_a_seam(tmp_path):
+    # seam near 4.94e6, where an absolute 1e-12 stop is below one ulp
+    surface = {"kind": "curve", "family": "hyperbola", "a": 1e7, "b": 5e6, "params": {"s": 4e6, "t": 2e6}}
+    cfg = write_config(tmp_path, surface, grid=[8])
+    for command in ("construct", "report"):
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 0
+
+
 def test_bound_output(tmp_path, capsys):
     cfg = write_config(tmp_path, H12_SURFACE)
     assert main(["--config", cfg, "bound"]) == 0

@@ -9,8 +9,10 @@ from elopt import (
     HyperbolaCurve,
     LineCurve,
     QuadraticCurve,
+    build_lp,
+    construct,
 )
-from elopt.surfaces import SLOPE_MAX, _bisect_decreasing
+from elopt.surfaces import SLOPE_MAX
 from helpers import hyperbola_through, qc_beta, qcc_beta
 
 
@@ -47,12 +49,6 @@ def test_beta_inverts_alpha_densely(qc, qcc):
         assert np.max(np.abs(curve.alpha(curve.beta(ys)) - ys)) < 1e-9
 
 
-def test_generic_bisection_agrees_with_closed_form_inverse(qc):
-    for y in (0.05, 0.2, 0.375, 0.8):
-        x = _bisect_decreasing(lambda v: float(qc.alpha(v)), 0.0, qc.a, y)
-        assert x == pytest.approx(float(qc.beta(y)), abs=1e-9)
-
-
 def test_beta_prime_values_and_inverse_function_rule(qc, qcc):
     assert qc.beta_prime(0.0) == pytest.approx(-2.0, abs=1e-12)
     assert qc.beta_prime(1.0) == pytest.approx(-2.0 / 3.0, abs=1e-12)
@@ -81,7 +77,7 @@ def test_t_point_worked_values(qc, qcc):
 def test_t_point_hyperbola_closed_form():
     curve = hyperbola_through(1.0, 1.0, 1.0)  # kappa = 2, t = sqrt(2) - 1
     t = curve.t_point()
-    assert t.t_x == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
+    assert t.t_x == math.sqrt(2.0) - 1.0
     assert t.t_x == pytest.approx(t.t_y, abs=1e-9)  # symmetric arc
 
 
@@ -94,6 +90,24 @@ def test_t_point_absent_when_slope_stays_on_one_side():
     assert LineCurve(a=2.0, b=1.0).t_point() is None
     # 45-degree line: the normal is (1, 1) everywhere, no isolated seam
     assert LineCurve(a=1.0, b=1.0).t_point() is None
+
+
+@pytest.mark.parametrize("k", range(-30, 31, 3))
+def test_seam_at_every_scale(k):
+    # Boxes from about 1e-9 to 1e9 with the same shapes: a seamless convex and
+    # concave quadratic, and two hyperbolas whose slopes straddle 1.
+    a, b = 1.37 * 2.0**k, 0.81 * 2.0**k
+    curves = [QuadraticCurve(a=a, b=b, c2=0.6 * b / a**2), QuadraticCurve(a=a, b=b, c2=-0.3 * b / a**2)]
+    curves += [HyperbolaCurve(a=a, b=b, s=s, t=s * b / a) for s in (0.3 * a, 1.1 * a)]
+    for curve in curves:
+        assert curve.validate().valid, curve
+        s_lo, s_hi = curve.slope_range()
+        t = curve.t_point()
+        assert (t is None) == (not s_lo < 1.0 < s_hi), curve
+        if t is not None:
+            assert 0.0 <= t.t_x <= curve.a, curve
+            assert abs(curve.alpha_prime(t.t_x) + 1.0) <= 1e-12, curve
+            construct(curve)
 
 
 def test_validate_worked_curves(qc, qcc):
@@ -175,10 +189,21 @@ def test_hyperplane_validate_and_helpers():
     assert (plane.beta(0.0), plane.beta(0.25), plane.beta(0.5)) == (1.0, 0.5, 0.0)
     assert np.array_equal(plane.alpha(np.array([0.5, 1.0])), [0.25, 0.0])
     plane3 = Hyperplane(c=(1.0, 2.0, 3.0), M=1.0)
+    assert plane3.validate().valid
     with pytest.raises(DomainError):
         plane3.alpha(0.5)
     with pytest.raises(DomainError):
         plane3.beta(0.5)
+
+
+@pytest.mark.parametrize("c, M, bad", [((1e-300, 1.0), 1e10, "inf"), ((1e300, 1.0), 1e-30, "0.0")])
+def test_hyperplane_intercepts_must_be_finite_and_positive(c, M, bad):
+    plane = Hyperplane(c=c, M=M)
+    report = plane.validate()
+    assert not report.valid
+    assert report.violations == (f"intercept M / c[0] = {bad} is not a finite positive number",)
+    with pytest.raises(DomainError, match="surface failed validation"):
+        build_lp(plane, 8)
 
 
 def test_normals_stay_within_validated_slope_bounds(qc, qcc):

@@ -214,8 +214,7 @@ def _cmd_construct(job: _Job, args) -> int:
             }
         )
         lines.append(
-            f"{res.kind}: cost {res.claimed_cost!r}, cost_total "
-            f"{'unbounded' if total is None else repr(total)}, scale {res.scale_k!r} -> {path}"
+            f"{res.kind}: cost {res.claimed_cost!r}, cost_total {total!r}, scale {res.scale_k!r} -> {path}"
         )
     _emit(job, {"constructions": payload}, lines)
     return 0

@@ -8,8 +8,8 @@ each other.  A builder checks the curve's shape; the piecewise node it builds
 checks its validity.
 
 For curves without a point of normal (1, 1) the plateau and capped-sum
-builders fall back to their single-branch forms.  Those forms get one
-sentence of justification in the literature at best, so they are never
+nodes fall back to a seam at an endpoint of the curve.  Those functions get
+one sentence of justification in the literature at best, so they are never
 trusted: the builder runs the property suite and the feasibility check on
 the fallback and hard-fails if either does not pass.
 """
@@ -90,11 +90,11 @@ def _verify_fallback(expr: ELExpr, curve: Curve2D, kind: str) -> None:
     el = check_el(expr, box, samples=_FALLBACK_EL_SAMPLES, seed=_FALLBACK_SEED)
     if not el.passed:
         failed = ", ".join(p.name for p in el.properties if not p.passed)
-        raise ConstructionError(f"{kind}: single-branch fallback fails the property suite ({failed})")
+        raise ConstructionError(f"{kind}: endpoint-seam fallback fails the property suite ({failed})")
     feas = check_feasible(expr, curve, samples=_FALLBACK_SURFACE_SAMPLES, seed=_FALLBACK_SEED)
     if not feas.feasible:
         raise ConstructionError(
-            f"{kind}: single-branch fallback is infeasible (min jump {feas.min_jump!r})"
+            f"{kind}: endpoint-seam fallback is infeasible (min jump {feas.min_jump!r})"
         )
 
 
@@ -122,15 +122,15 @@ def convex_plateau(curve: Curve2D) -> ConstructionResult:
     """Flat-plateau optimum for a strictly convex curve; cost ``max(-alpha'(0), -beta'(0))``.
 
     The raw function is already feasible, so no scaling is applied.  When the
-    curve has no point with normal (1, 1) the single-branch fallback is built
-    and suite-verified.
+    curve has no point with normal (1, 1) the node's seam sits at an endpoint,
+    and the build is suite-verified.
     """
     _require_shape(curve, SHAPE_CONVEX)
     expr = ConvexPlateau(curve)
     # Without a seam point the slopes lie on one side of 1, and -beta'(0) is
     # 1/(-alpha'(a)), so this max is also the cost of either fallback.
     claimed = max(-curve.alpha_prime(0.0), -curve.beta_prime(0.0))
-    if expr._layout.mode != "full":
+    if curve.t_point() is None:
         _verify_fallback(expr, curve, "convex_plateau")
     return _finish(expr, float(claimed), 1.0, "convex_plateau")
 
@@ -155,8 +155,8 @@ def concave_construct(curve: Curve2D) -> ConstructionResult:
     The raw function has cost 1; its smallest derivative jump across the
     curve is ``min(-alpha'(0), -beta'(0))`` (attained in the limit towards
     the intercepts), so the optimal feasible multiple is
-    ``k = 1 / min(-alpha'(0), -beta'(0))``, of cost ``k``.  Single-branch
-    fallbacks cover curves without a (1, 1)-normal point and are
+    ``k = 1 / min(-alpha'(0), -beta'(0))``, of cost ``k``.  A curve without a
+    (1, 1)-normal point gets its seam at an endpoint, and the build is
     suite-verified.
     """
     _require_shape(curve, SHAPE_CONCAVE)
@@ -164,7 +164,7 @@ def concave_construct(curve: Curve2D) -> ConstructionResult:
     # As in convex_plateau, the min also picks the fallbacks' smallest jump.
     k = 1.0 / float(min(-curve.alpha_prime(0.0), -curve.beta_prime(0.0)))
     expr = Scale(k, node)
-    if node._layout.mode != "full":
+    if curve.t_point() is None:
         _verify_fallback(expr, curve, "concave_construct")
     return _finish(expr, k, k, "concave_construct")
 

@@ -17,17 +17,19 @@ The class is closed under non-negative linear combination (:class:`Sum`,
 the cost-optimal functions for strictly convex and strictly concave
 separating curves; builders with the matching feasibility bookkeeping live in
 :mod:`elopt.constructions`.  Each piecewise node checks its curve's shape and
-validity, and derives its seam, supremum and fallback strip once, in a layout.
+validity, and derives its seam, supremum and tie tolerance once, in a layout.
+The seam is the curve's point ``T`` of normal (1, 1); a curve without one
+gets its seam at an endpoint, so every curve runs the same seam layout.
 
 Every node supports batched evaluation and *exact* one-sided partial
 derivatives.  Left/right limits are propagated symbolically through the
 combinators; on the piecewise nodes a branch-region classifier with
-deterministic tie handling (absolute coordinate tolerance 1e-12, ties
-resolved towards the side being queried) picks the adjacent open region, so
-a one-sided value is always the limit from that side.  Left derivatives do
-not exist on the coordinate hyperplanes ``x_i = 0``; they are reported as
-NaN together with the ``defined_left`` mask of :class:`OneSidedGrad`, never
-as an exception.
+deterministic tie handling (coordinate tolerance 1e-12 in units of the box's
+power-of-two scale, ties resolved towards the side being queried) picks the
+adjacent open region, so a one-sided value is always the limit from that
+side.  Left derivatives do not exist on the coordinate hyperplanes
+``x_i = 0``; they are reported as NaN together with the ``defined_left``
+mask of :class:`OneSidedGrad`, never as an exception.
 
 Two cost functionals complete the module: :func:`cost`, the largest right
 partial derivative at the origin, and :func:`cost_total`, the supremum of
@@ -47,7 +49,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ShapeError
-from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, Curve2D, TPoint
+from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, Curve2D, TPoint, _box_scale
 
 __all__ = [
     "ELExpr",
@@ -66,7 +68,8 @@ __all__ = [
     "cost_total",
 ]
 
-# Branch-boundary classification tolerance (absolute, on coordinates).
+# Branch-boundary classification tolerance on coordinates; the piecewise
+# nodes measure it in units of their box's power-of-two scale.
 _TIE_TOL = 1e-12
 
 
@@ -88,16 +91,16 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     return batch, scalar
 
 
-def _on_or_above(v, w, s: int, ties=None) -> np.ndarray:
+def _on_or_above(v, w, s: int, tol: float, ties=None) -> np.ndarray:
     """Mask of ``v`` on or above ``w``, a tie (``|v - w| <= tol``) going up, or down when ``s < 0``.
 
     With ``ties``, a boolean row mask, the rows that tie are ORed into it.
     """
     if s < 0:
-        return v > w + _TIE_TOL
-    up = v >= w - _TIE_TOL
+        return v > w + tol
+    up = v >= w - tol
     if ties is not None:
-        ties |= up & (v <= w + _TIE_TOL)
+        ties |= up & (v <= w + tol)
     return up
 
 
@@ -107,9 +110,9 @@ class _Points:
     ``alpha`` and ``beta`` take the curve at the coordinates clamped into
     ``[0, a]`` and ``[0, b]``.  ``seam_alpha`` and ``seam_beta`` clamp at
     ``reach`` instead, which passes an intercept only where the seam lies
-    within ``_TIE_TOL`` of it: the seam layout compares its strips with the
-    curve itself, and a strip reaches ``_TIE_TOL`` past the seam.  So the
-    unchecked evaluators never see an argument further out than that.
+    within the tie tolerance of it: the seam layout compares its strips with
+    the curve itself, and a strip reaches the tie tolerance past the seam.  So
+    the unchecked evaluators never see an argument further out than that.
     """
 
     def __init__(self, curve: Curve2D, x, y, reach: tuple):
@@ -150,12 +153,11 @@ class _Points:
 
 
 class _Layout(NamedTuple):
-    """What a piecewise node derives from its curve: the seam or fallback branch, and the range's supremum."""
-    mode: str       # "full" | "single_shallow" | "single_steep"
-    t_x: float      # seam point (NaN without one)
+    """What a piecewise node derives from its curve: the seam, the range's supremum and the tie tolerance."""
+    t_x: float      # seam point: T, or an endpoint when the curve has no T
     t_y: float
-    sup: float      # supremum of the range; the plateau value where there is one
-    along_x: bool   # single branch: it keeps the x strip's pieces, comparing x with beta(y)
+    sup: float      # supremum of the range, the plateau value
+    tol: float      # tie tolerance on coordinates, _TIE_TOL times the box's scale
 
 
 @dataclass(frozen=True)
@@ -388,8 +390,10 @@ class _CurveConstruction(ELExpr):
     """Shared plumbing of the three piecewise two-dimensional nodes.
 
     A node checks its curve's shape and validity when built, then resolves
-    ``_layout`` once: the seam or a single-branch fallback, the supremum of
-    the range and the strip a fallback keeps.  It classifies points into
+    ``_layout`` once: the seam, the supremum of the range and the tie
+    tolerance.  A curve without a point of normal (1, 1) gets its seam at the
+    endpoint ``_seam_at_b`` picks, whose normal is the nearer to (1, 1), and
+    then runs the same layout as any other.  It classifies points into
     pieces (``_regions``), each piece given by the formulas of its value and
     partials in ``_PIECES``; ``None`` stands for the plateau, with zero
     partials.
@@ -398,8 +402,8 @@ class _CurveConstruction(ELExpr):
     seam coordinates: past both (the plateau), the two strips, and the
     region below the seam.  A strip is compared with the curve on its own
     rows only, and its pieces' formulas reuse the curve values of that
-    comparison.  The tie rule is the same for every side: within
-    ``_TIE_TOL`` of a boundary a point belongs to the region on the queried
+    comparison.  The tie rule is the same for every side: within the tie
+    tolerance of a boundary a point belongs to the region on the queried
     side of it.  A tie goes up unless the side steps down an axis, so values
     and both right partials share one split, and a left partial is split
     again only on the rows where some comparison tied.
@@ -408,10 +412,6 @@ class _CurveConstruction(ELExpr):
     curve: Curve2D
 
     _required_shape = ""
-    # Single-branch fallbacks as (mode, along_x, supremum of the curve's
-    # range), in the order tried when the curve has no seam point.
-    _FALLBACKS: tuple = ()
-    _NO_SEAM = "curve has no point with normal (1, 1) yet its slope range straddles 1"
     # Pieces as (value, d/dx, d/dy): below the seam, then (on or above,
     # below the curve) on the strip x >= t_x and on the strip y >= t_y.  A
     # formula is a constant or a function ``(node, points)`` of the node and
@@ -427,7 +427,7 @@ class _CurveConstruction(ELExpr):
         report = self.curve.validate()
         if not report.valid:
             raise ConstructionError(f"curve failed validation: {'; '.join(report.violations)}")
-        _ = self._layout  # resolve the seam / fallback branch eagerly
+        _ = self._layout  # resolve the seam eagerly
 
     @property
     def dim(self) -> int:
@@ -435,24 +435,22 @@ class _CurveConstruction(ELExpr):
 
     @cached_property
     def _layout(self) -> _Layout:
+        box = self.curve.intercepts()
         t = self.curve.t_point()
-        if t is not None:
-            return _Layout("full", t.t_x, t.t_y, self._seam_plateau(t), False)
-        s_lo, s_hi = self.curve.slope_range()
-        fits = {"single_shallow": s_hi <= 1.0, "single_steep": s_lo >= 1.0}
-        for mode, along_x, sup in self._FALLBACKS:
-            if fits[mode]:
-                return _Layout(mode, math.nan, math.nan, sup(self.curve), along_x)
-        raise ConstructionError(self._NO_SEAM)
+        if t is None:
+            t = TPoint(0.0, box[1]) if self._seam_at_b(*self.curve.slope_range()) else TPoint(box[0], 0.0)
+        return _Layout(t.t_x, t.t_y, self._seam_plateau(t), _TIE_TOL * _box_scale(box))
+
+    def _seam_at_b(self, s_lo: float, s_hi: float) -> bool:
+        """Endpoint seam of a curve whose slopes ``-alpha'`` lie in ``[s_lo, s_hi]``, all on one side of 1: (0, b) if True, else (a, 0)."""
+        raise NotImplementedError
 
     @cached_property
     def _reach(self) -> tuple:
-        """Clamp ends of :class:`_Points`' seam curve: the seam plus ``_TIE_TOL``, where that passes the intercept."""
+        """Clamp ends of :class:`_Points`' seam curve: the seam plus the tie tolerance, where that passes the intercept."""
         a, b = self.curve.intercepts()
         lay = self._layout
-        if lay.mode != "full":
-            return a, b
-        return max(a, lay.t_x + _TIE_TOL), max(b, lay.t_y + _TIE_TOL)
+        return max(a, lay.t_x + lay.tol), max(b, lay.t_y + lay.tol)
 
     def _points(self, x, y) -> _Points:
         return _Points(self.curve, x, y, self._reach)
@@ -463,36 +461,16 @@ class _CurveConstruction(ELExpr):
     def _sup(self) -> float:
         return self._layout.sup
 
-    def _clamped_test(self, p: _Points, along_x: bool, sx: int, sy: int, ties):
-        """Mask of the points on or above the curve clamped into its range.
-
-        Along x, ``x`` is compared with ``beta(min(y, b))``; along y, ``y``
-        with ``alpha(min(x, a))``.  Past the intercept the clamped curve is
-        the axis, constant in the other coordinate, so a tie there takes only
-        the side queried along the compared axis.
-        """
-        if along_x:
-            u, v, end, level, su, sv = p.x, p.y, self.curve.b, p.beta, sx, sy
-        else:
-            u, v, end, level, su, sv = p.y, p.x, self.curve.a, p.alpha, sy, sx
-        past = _on_or_above(v, end, sv, ties)
-        on_axis = _on_or_above(u, 0.0, su, ties)
-        on_curve = _on_or_above(u, level, su or sv, ties)
-        return (past & on_axis) | (~past & on_curve)
-
     def _strip_test(self, p: _Points, x_strip: bool, sx: int, sy: int, ties):
-        """Seam layout: mask of the points on or above the curve, read on the strip x >= t_x or y >= t_y."""
+        """Mask of the points on or above the curve, read on the strip x >= t_x or y >= t_y."""
         if x_strip:
-            return _on_or_above(p.x, p.seam_beta, sx or sy, ties)
-        return _on_or_above(p.y, p.seam_alpha, sx or sy, ties)
-
-    # Single-branch layout: mask of the points on or above the curve.
-    _single_test = _clamped_test
+            return _on_or_above(p.x, p.seam_beta, sx or sy, self._layout.tol, ties)
+        return _on_or_above(p.y, p.seam_alpha, sx or sy, self._layout.tol, ties)
 
     def _regions(self, p: _Points, sx: int, sy: int, ties=None) -> list:
         """``(rows, points, pieces)`` of each region of the batch, ties resolved towards the side ``(sx, sy)``.
 
-        ``rows`` is None for the whole batch; ``pieces`` lists ``(rows,
+        ``rows`` are the region's rows of the batch; ``pieces`` lists ``(rows,
         piece)`` with the rows of the region that a piece of ``_PIECES``
         covers (a slice for all of them).  The plateau is left out: its rows
         keep ``_eval``'s default.  With ``ties``, the rows where some
@@ -500,11 +478,8 @@ class _CurveConstruction(ELExpr):
         """
         lay = self._layout
         inner, x_pieces, y_pieces = self._PIECES
-        if lay.mode != "full":
-            mask = self._single_test(p, lay.along_x, sx, sy, ties)
-            return [(None, p, _split(mask, *(x_pieces if lay.along_x else y_pieces)))]
-        past_x = _on_or_above(p.x, lay.t_x, sx, ties)
-        past_y = _on_or_above(p.y, lay.t_y, sy, ties)
+        past_x = _on_or_above(p.x, lay.t_x, sx, lay.tol, ties)
+        past_y = _on_or_above(p.y, lay.t_y, sy, lay.tol, ties)
         regions = []
         for mask, x_strip, pieces in ((past_x & ~past_y, True, x_pieces), (past_y & ~past_x, False, y_pieces)):
             rows = mask.nonzero()[0]
@@ -525,7 +500,7 @@ class _CurveConstruction(ELExpr):
         for rows, q, pieces in regions:
             for at, piece in pieces:
                 formula = piece[column]
-                out[at if rows is None else rows[at]] = formula(self, q)[at] if callable(formula) else formula
+                out[rows[at]] = formula(self, q)[at] if callable(formula) else formula
         return out
 
     def _values(self, X):
@@ -556,11 +531,11 @@ class ConvexPlateau(_CurveConstruction):
     the curve, ``C + x - beta(y)`` on the strip ``x >= t_x`` below it,
     ``C + y - alpha(x)`` on the strip ``y >= t_y`` below it, and
     ``(a - alpha(x)) + (b - beta(y))`` where both coordinates are below the
-    seam.  Without a seam point the single surviving branch is used, with the
-    curve clamped to its parameter range:
+    seam.  Without a seam point the seam is an endpoint, and one strip is
+    left:
 
-    * every slope ``-alpha' <= 1``: ``f = a + min(x - beta(y), 0)``,
-    * every slope ``-alpha' >= 1``: ``f = b + min(y - alpha(x), 0)``.
+    * every slope ``-alpha' <= 1``: ``T = (0, b)`` and ``f = a + min(x - beta(y), 0)``,
+    * otherwise ``T = (a, 0)`` and ``f = b + min(y - alpha(x), 0)``.
     """
 
     curve: Curve2D
@@ -571,7 +546,9 @@ class ConvexPlateau(_CurveConstruction):
         (None, (lambda f, p: f._layout.sup + p.x - p.beta, 1.0, _neg_beta_prime)),
         (None, (lambda f, p: f._layout.sup + p.y - p.alpha, _neg_alpha_prime, 1.0)),
     )
-    _FALLBACKS = (("single_shallow", True, lambda c: c.a), ("single_steep", False, lambda c: c.b))
+
+    def _seam_at_b(self, s_lo, s_hi):
+        return s_hi <= 1.0
 
     def _seam_plateau(self, t: TPoint) -> float:
         return (self.curve.a - t.t_x) + (self.curve.b - t.t_y)
@@ -596,12 +573,28 @@ class ConvexDiag(_CurveConstruction):
         (None, (lambda f, p: f._layout.sup + p.y - p.alpha, _neg_alpha_prime, 1.0)),
         (None, (lambda f, p: f._layout.sup + p.x - p.beta, 1.0, _neg_beta_prime)),
     )
-    _NO_SEAM = "ConvexDiag needs both diagonal branches: the curve has no point with normal (1, 1)"
+
+    def _seam_at_b(self, s_lo, s_hi):
+        raise ConstructionError("ConvexDiag needs both diagonal branches: the curve has no point with normal (1, 1)")
 
     def _strip_test(self, p, x_strip, sx, sy, ties):
-        # The strip x >= t_x splits where y crosses the clamped alpha(x),
-        # the strip y >= t_y where x crosses the clamped beta(y).
-        return self._clamped_test(p, not x_strip, sx, sy, ties)
+        """Mask of the points on or above the curve clamped into its range.
+
+        The strip x >= t_x splits where ``y`` crosses ``alpha(min(x, a))``,
+        the strip y >= t_y where ``x`` crosses ``beta(min(y, b))``.  Past the
+        intercept the clamped curve is the axis, constant in the other
+        coordinate, so a tie there takes only the side queried along the
+        compared axis.
+        """
+        if x_strip:
+            u, v, end, level, su, sv = p.y, p.x, self.curve.a, p.alpha, sy, sx
+        else:
+            u, v, end, level, su, sv = p.x, p.y, self.curve.b, p.beta, sx, sy
+        tol = self._layout.tol
+        past = _on_or_above(v, end, sv, tol, ties)
+        on_axis = _on_or_above(u, 0.0, su, tol, ties)
+        on_curve = _on_or_above(u, level, su or sv, tol, ties)
+        return (past & on_axis) | (~past & on_curve)
 
 
 @dataclass(frozen=True)
@@ -612,15 +605,15 @@ class ConcaveStep(_CurveConstruction):
     strip ``x >= t_x`` above the curve, ``x + alpha(x)`` on the strip
     ``y >= t_y`` above it, and the constant ``t_x + t_y`` beyond both seam
     coordinates (the cap region is not flat along the curve, only past the
-    seam).  Without a seam point a single branch is used, the curve being
-    continued *linearly* past its intercept so that the section functions
-    stay concave (a constant continuation would make the slope jump back up):
+    seam).  Without a seam point the seam is an endpoint, and one strip is
+    left:
 
-    * every slope ``-alpha' >= 1``: ``f = y + min(x, beta_lin(y))``,
-    * every slope ``-alpha' <= 1``: ``f = x + min(y, alpha_lin(x))``.
+    * every slope ``-alpha' >= 1``: ``T = (0, b)`` and ``f = min(y + min(x, beta(y)), b)``,
+    * otherwise ``T = (a, 0)`` and ``f = min(x + min(y, alpha(x)), a)``.
 
-    These single-branch forms are unbounded whenever the continuation slope
-    is non-zero, and then ``cost_total`` is ``None``.
+    Along the strip ``y + beta(y)`` rises to ``b`` (resp. ``x + alpha(x)`` to
+    ``a``), so each is the sum continued linearly past the intercept and
+    truncated there, which keeps it entropy-like and bounds it.
     """
 
     curve: Curve2D
@@ -628,35 +621,12 @@ class ConcaveStep(_CurveConstruction):
     _required_shape = SHAPE_CONCAVE
     _PIECES = (
         _X_PLUS_Y,
-        ((lambda f, p: p.y + f._beta_lin(p), 0.0, lambda f, p: 1.0 + p.beta_prime), _X_PLUS_Y),
-        ((lambda f, p: p.x + f._alpha_lin(p), lambda f, p: 1.0 + p.alpha_prime, 0.0), _X_PLUS_Y),
-    )
-    # A single branch is bounded only where its linear tail is flat.
-    _FALLBACKS = (
-        ("single_steep", True, lambda c: math.inf if 1.0 + c.beta_prime(c.b) > 0.0 else c.b),
-        ("single_shallow", False, lambda c: math.inf if 1.0 + c.alpha_prime(c.a) > 0.0 else c.a),
+        ((lambda f, p: p.y + p.beta, 0.0, lambda f, p: 1.0 + p.beta_prime), _X_PLUS_Y),
+        ((lambda f, p: p.x + p.alpha, lambda f, p: 1.0 + p.alpha_prime, 0.0), _X_PLUS_Y),
     )
 
-    @cached_property
-    def _end_slopes(self) -> tuple:
-        """``(alpha'(a), beta'(b))``, the slopes of the linear continuations."""
-        return self.curve.alpha_prime(self.curve.a), self.curve.beta_prime(self.curve.b)
-
-    def _beta_lin(self, p: _Points):
-        # Linear continuation of beta past the y-intercept (slope beta'(b)).
-        over = p.y - self.curve.b
-        return np.where(over <= 0.0, p.beta, self._end_slopes[1] * over)
-
-    def _alpha_lin(self, p: _Points):
-        over = p.x - self.curve.a
-        return np.where(over <= 0.0, p.alpha, self._end_slopes[0] * over)
-
-    def _single_test(self, p, along_x, sx, sy, ties):
-        # The linear continuation keeps beta' nonzero everywhere, so a tie
-        # is always resolvable from either coordinate.
-        if along_x:
-            return _on_or_above(p.x, self._beta_lin(p), sx or sy, ties)
-        return _on_or_above(p.y, self._alpha_lin(p), sx or sy, ties)
+    def _seam_at_b(self, s_lo, s_hi):
+        return s_lo >= 1.0
 
 
 def eval_at(expr: ELExpr, x):

@@ -82,7 +82,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError, _integer
 from .exprs import ELExpr, eval_at
-from .surfaces import Surface
+from .surfaces import Surface, _box_scale
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -178,7 +178,7 @@ def build_lp(surface: Surface, m: int) -> GridLP:
         raise DomainError(f"surface failed validation: {'; '.join(report.violations)}")
     box = surface.intercepts()
     h = tuple(side / m for side in box)
-    scale = 2.0 ** round(math.log2(max(box)))
+    scale = _box_scale(box)
     nodes = tuple(np.arange(m + 1) * step for step in h)
     # V[i, j] is the column of f(nodes[0][i], nodes[1][j]); t's column is V.size
     V = np.arange((m + 1) ** len(box)).reshape((m + 1,) * len(box))

@@ -64,6 +64,15 @@ SLOPE_MAX = 1e6
 _ENDPOINT_TOL = 1e-12
 
 
+def _box_scale(box) -> float:
+    """The power of two nearest the box's longest side, ``2**round(log2(max(box)))``.
+
+    The grid LP measures ``f`` in these units and the piecewise nodes scale
+    their tie tolerance by it; a power of two scales exactly.
+    """
+    return 2.0 ** round(math.log2(max(box)))
+
+
 def _require_positive(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
@@ -196,11 +205,11 @@ class Curve2D:
         return arr
 
     def _alpha_in(self, x: np.ndarray) -> np.ndarray:
-        """``alpha`` of an array the caller keeps in range (up to the nodes' 1e-12 tie tolerance), unchecked."""
+        """``alpha`` of an array the caller keeps in range (up to the nodes' tie tolerance), unchecked."""
         return self._snap(self._alpha_raw(x), x, self.b, 0.0, self.a)
 
     def _beta_in(self, y: np.ndarray) -> np.ndarray:
-        """``beta`` of an array the caller keeps in range (up to the nodes' 1e-12 tie tolerance), unchecked."""
+        """``beta`` of an array the caller keeps in range (up to the nodes' tie tolerance), unchecked."""
         return self._snap(self._beta_raw(y), y, self.a, 0.0, self.b)
 
     def alpha(self, x):

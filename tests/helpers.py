@@ -73,6 +73,24 @@ def qcc_step_reference(x, y):
     return x + y
 
 
+def concave_linear_tail_reference(curve, X):
+    """Capped-sum branch of a concave curve without a seam point, the curve continued linearly past its intercept.
+
+    Every slope ``-alpha' >= 1``: ``y + min(x, beta_lin(y))``, where
+    ``beta_lin`` continues ``beta`` past ``b`` with slope ``beta'(b)``;
+    otherwise ``x + min(y, alpha_lin(x))``.  Unbounded unless the
+    continuation is flat.
+    """
+    x, y = X[:, 0], X[:, 1]
+    if curve.slope_range()[0] >= 1.0:
+        over = y - curve.b
+        beta_lin = np.where(over <= 0.0, curve.beta(np.minimum(y, curve.b)), curve.beta_prime(curve.b) * over)
+        return y + np.minimum(x, beta_lin)
+    over = x - curve.a
+    alpha_lin = np.where(over <= 0.0, curve.alpha(np.minimum(x, curve.a)), curve.alpha_prime(curve.a) * over)
+    return x + np.minimum(y, alpha_lin)
+
+
 def hyperbola_through(a, b, s):
     """Hyperbolic arc with intercepts ``(a, 0)`` and ``(0, b)`` and offset ``s`` (so ``t = s b / a``)."""
     return HyperbolaCurve(a=a, b=b, s=s, t=s * b / a)
@@ -108,24 +126,24 @@ _XUP = 4        # strip x >= t_x above the curve, non-flat (concave case)
 _YUP = 5        # strip y >= t_y above the curve, non-flat (concave case)
 _SUM = 6        # region where the function is x + y
 
-TIE_TOL = 1e-12
-TIE_OFFSETS = (0.0, 0.5e-12, -0.5e-12, 1e-12, -1e-12, 2e-12, -2e-12)
+# Tie offsets in units of a node's tie tolerance.
+TIE_OFFSETS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 
 
-def cmp3(v, w, side):
-    """Three-way compare: -1 below, +1 above, ``side`` on a tie (``|v - w| <= TIE_TOL``)."""
+def cmp3(v, w, side, tol):
+    """Three-way compare: -1 below, +1 above, ``side`` on a tie (``|v - w| <= tol``)."""
     w = np.asarray(w)
-    return np.where(v < w - TIE_TOL, -1, np.where(v > w + TIE_TOL, 1, side))
+    return np.where(v < w - tol, -1, np.where(v > w + tol, 1, side))
 
 
 def _above_clamped(node, u, v, su, sv, inverse):
     # u against the curve clamped into its range at v (beta when ``inverse``);
     # past the intercept the level is 0 and a tie takes only u's side.
-    curve = node.curve
+    curve, tol = node.curve, node._layout.tol
     end, level_of = (curve.b, curve.beta) if inverse else (curve.a, curve.alpha)
-    cv = cmp3(v, end, sv)
+    cv = cmp3(v, end, sv, tol)
     level = np.where(cv >= 0, 0.0, level_of(np.minimum(v, end)))
-    return cmp3(u, level, su if su != 0 else np.where(cv < 0, sv, 0)) >= 0
+    return cmp3(u, level, su if su != 0 else np.where(cv < 0, sv, 0), tol) >= 0
 
 
 def classify_reference(node, x, y, sx, sy):
@@ -134,15 +152,7 @@ def classify_reference(node, x, y, sx, sy):
     Each side is classified on its own, with no masks shared between sides.
     """
     lay, curve = node._layout, node.curve
-    if lay.mode == "single_shallow" and isinstance(node, ConvexPlateau):
-        return np.where(_above_clamped(node, x, y, sx, sy, True), _FLAT, _XSTRIP)
-    if lay.mode == "single_steep" and isinstance(node, ConvexPlateau):
-        return np.where(_above_clamped(node, y, x, sy, sx, False), _FLAT, _YSTRIP)
-    if lay.mode == "single_steep":
-        return np.where(cmp3(x, node._beta_lin(node._points(x, y)), sx or sy) >= 0, _XUP, _SUM)
-    if lay.mode == "single_shallow":
-        return np.where(cmp3(y, node._alpha_lin(node._points(x, y)), sy or sx) >= 0, _YUP, _SUM)
-    cx, cy = cmp3(x, lay.t_x, sx), cmp3(y, lay.t_y, sy)
+    cx, cy = cmp3(x, lay.t_x, sx, lay.tol), cmp3(y, lay.t_y, sy, lay.tol)
     piece = np.full(x.shape, _INNER if isinstance(node, ConvexPlateau) else _SUM)
     piece[(cx >= 0) & (cy >= 0)] = _FLAT
     xs, ys = (cx >= 0) & (cy < 0), (cx < 0) & (cy >= 0)
@@ -154,8 +164,8 @@ def classify_reference(node, x, y, sx, sy):
         ConvexPlateau: ((_FLAT, _XSTRIP), (_FLAT, _YSTRIP)),
         ConcaveStep: ((_XUP, _SUM), (_YUP, _SUM)),
     }[type(node)]
-    piece[xs] = np.where(cmp3(x[xs], curve.beta(y[xs]), sx or sy) >= 0, *x_pieces)
-    piece[ys] = np.where(cmp3(y[ys], curve.alpha(x[ys]), sy or sx) >= 0, *y_pieces)
+    piece[xs] = np.where(cmp3(x[xs], curve.beta(y[xs]), sx or sy, lay.tol) >= 0, *x_pieces)
+    piece[ys] = np.where(cmp3(y[ys], curve.alpha(x[ys]), sy or sx, lay.tol) >= 0, *y_pieces)
     return piece
 
 
@@ -169,7 +179,7 @@ def _eval_reference(node, column, X, sx, sy):
         by_code = {_INNER if isinstance(node, ConvexPlateau) else _SUM: inner, _XSTRIP: x_below, _YSTRIP: y_below}
     code = classify_reference(node, x, y, sx, sy)
     pieces = [((code == c).nonzero()[0], piece) for c, piece in by_code.items()]
-    return node._eval(column, [(None, node._points(x, y), pieces)], np.empty(len(X)))
+    return node._eval(column, [(np.arange(len(X)), node._points(x, y), pieces)], np.empty(len(X)))
 
 
 def values_reference(node, X):
@@ -187,6 +197,18 @@ def partials_reference(node, X):
     return left, np.stack(cols[2:], axis=1)
 
 
+def seam_place(node):
+    """Where a piecewise node's seam sits: ``"interior"``, ``"(0, b)"`` or ``"(a, 0)"``."""
+    lay, (a, b) = node._layout, node.curve.intercepts()
+    if (lay.t_x, lay.t_y) == (0.0, b):
+        return "(0, b)"
+    if (lay.t_x, lay.t_y) == (a, 0.0):
+        return "(a, 0)"
+    # T of a curve whose end slope is 1 up to rounding may round onto an axis
+    assert 0.0 <= lay.t_x <= a and 0.0 <= lay.t_y <= b, lay
+    return "interior"
+
+
 def assert_matches_tie_oracle(node, X):
     """``eval_at`` and ``one_sided_partials`` equal the three-way oracle's bit for bit, NaN included."""
     assert eval_at(node, X).tobytes() == values_reference(node, X).tobytes()
@@ -197,7 +219,7 @@ def assert_matches_tie_oracle(node, X):
 
 
 def tie_batch(node, rng, random_points=64):
-    """Points of a piecewise node's box that sit on or within a few ``TIE_TOL`` of its boundaries.
+    """Points of a piecewise node's box that sit on or within a few tie tolerances of its boundaries.
 
     The seam coordinates and intercepts, each offset by ``TIE_OFFSETS`` and
     crossed with each other and with random coordinates; points on the curve
@@ -206,10 +228,9 @@ def tie_batch(node, rng, random_points=64):
     """
     a, b = node.curve.intercepts()
     lay = node._layout
-    seam_x = [lay.t_x] if lay.mode == "full" else []
-    seam_y = [lay.t_y] if lay.mode == "full" else []
-    xs = np.array([max(c + d, 0.0) for c in (*seam_x, a, 0.0) for d in TIE_OFFSETS])
-    ys = np.array([max(c + d, 0.0) for c in (*seam_y, b, 0.0) for d in TIE_OFFSETS])
+    offsets = [d * lay.tol for d in TIE_OFFSETS]
+    xs = np.array([max(c + d, 0.0) for c in (lay.t_x, a, 0.0) for d in offsets])
+    ys = np.array([max(c + d, 0.0) for c in (lay.t_y, b, 0.0) for d in offsets])
     rx = rng.uniform(0.0, 1.5 * a, random_points)
     ry = rng.uniform(0.0, 1.5 * b, random_points)
     on_x = rng.uniform(0.0, a, random_points)
@@ -218,8 +239,8 @@ def tie_batch(node, rng, random_points=64):
         np.array(np.meshgrid(xs, ys)).reshape(2, -1).T,
         np.column_stack([np.repeat(xs, 4), rng.uniform(0.0, 1.5 * b, 4 * xs.size)]),
         np.column_stack([rng.uniform(0.0, 1.5 * a, 4 * ys.size), np.repeat(ys, 4)]),
-        *(np.column_stack([on_x, np.maximum(node.curve.alpha(on_x) + d, 0.0)]) for d in TIE_OFFSETS),
-        *(np.column_stack([np.maximum(node.curve.beta(on_y) + d, 0.0), on_y]) for d in TIE_OFFSETS),
+        *(np.column_stack([on_x, np.maximum(node.curve.alpha(on_x) + d, 0.0)]) for d in offsets),
+        *(np.column_stack([np.maximum(node.curve.beta(on_y) + d, 0.0), on_y]) for d in offsets),
         np.column_stack([rx + a, ry + b]),
         np.column_stack([rx + a, ry]),
         np.column_stack([rx, ry + b]),

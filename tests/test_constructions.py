@@ -18,7 +18,7 @@ from elopt import (
     linear_opt_curve,
     normal_ratio_bound,
 )
-from helpers import QC_TX, QC_TY, hyperbola_through
+from helpers import QC_TX, QC_TY, hyperbola_through, seam_place
 
 
 def test_linear_opt_worked_examples():
@@ -140,13 +140,13 @@ def test_invalid_curve_rejected():
 
 
 def test_shallow_convex_fallback_passes_its_own_verification():
-    # Every slope is below 1 (0.45 down to 0.05), so the single-branch
-    # plateau is built and suite-verified; the section curvature reaches
+    # Every slope is below 1 (0.45 down to 0.05), so the plateau's seam is
+    # (0, b) and the build is suite-verified; the section curvature reaches
     # |f''| = 1600 near the x-intercept, which the derivative checks must
     # not mistake for a wrong rule.
     curve = QuadraticCurve(a=2.0, b=0.5, c2=0.1)
     res = convex_plateau(curve)
-    assert res.expr._layout.mode == "single_shallow"
+    assert seam_place(res.expr) == "(0, b)"
     assert res.claimed_cost == pytest.approx(20.0, rel=1e-12)
 
 

@@ -28,6 +28,7 @@ from helpers import (
     QC_TY,
     assert_matches_tie_oracle,
     classify_reference,
+    concave_linear_tail_reference,
     fd_one_sided,
     hyperbola_through,
     qc_alpha,
@@ -36,6 +37,7 @@ from helpers import (
     qc_diag_reference,
     qc_plateau_reference,
     qcc_step_reference,
+    seam_place,
     tie_batch,
 )
 
@@ -103,10 +105,10 @@ def test_domain_and_dimension_errors():
 
 def test_batch_matches_scalar_evaluation():
     # A point alone takes the path of a one-row batch: on every piecewise
-    # node in every layout, each row of a batch holding ties and random
-    # points gets the same bits evaluated by itself.
+    # node with every seam placement, each row of a batch holding ties and
+    # random points gets the same bits evaluated by itself.
     rng = np.random.default_rng(5)
-    for node_type, curve, _ in ORACLE_CASES:
+    for node_type, curve, _, _ in ORACLE_CASES:
         node = node_type(curve)
         pts = np.concatenate([tie_batch(node, rng), rng.uniform(0.0, 1.5, (64, 2)) * curve.intercepts()])
         values = eval_at(node, pts)
@@ -129,10 +131,11 @@ def test_linear_gives_one_point_the_bits_of_a_batch(c):
 
 
 def test_a_zero_row_batch_gives_empty_arrays():
-    # Every piecewise node in every layout, and every combinator: a batch of
-    # no points yields arrays of no rows, with no region or piece to fill.
+    # Every piecewise node with every seam placement, and every combinator: a
+    # batch of no points yields arrays of no rows, with no region or piece to
+    # fill.
     lin = Linear((0.7, 1.3, 2.1))
-    exprs = [node_type(curve) for node_type, curve, _ in ORACLE_CASES]
+    exprs = [node_type(curve) for node_type, curve, _, _ in ORACLE_CASES]
     exprs += [lin, Sum(lin, lin), Scale(0.5, lin), TruncateMin(1.0, lin), Clamp((0.5, 0.5, 0.5), lin)]
     exprs.append(Scale(0.5, TruncateMin(1.0, Clamp((0.5, 0.5), ConvexPlateau(QuadraticCurve(a=1.0, b=1.0, c2=0.5))))))
     for expr in exprs:
@@ -369,12 +372,12 @@ def test_truncation_family_derivatives_approach_the_limit():
     assert np.all(masked <= wall + 1e-12)
 
 
-# ------------------------------------------------------- single-branch forms
+# ------------------------------------------------------------ endpoint seams
 
 def test_convex_fallback_shallow_curve():
     curve = QuadraticCurve(a=1.0, b=0.5, c2=0.25)  # slopes in [0.25, 0.75]
     expr = ConvexPlateau(curve)
-    assert expr._layout.mode == "single_shallow"
+    assert seam_place(expr) == "(0, b)"
     assert eval_at(expr, (0.0, 0.0)) == 0.0
     assert eval_at(expr, (1.2, 0.8)) == pytest.approx(1.0, abs=1e-12)  # plateau = a
     assert cost_total(expr) == pytest.approx(1.0, abs=1e-12)
@@ -388,29 +391,36 @@ def test_convex_fallback_shallow_curve():
 def test_convex_fallback_steep_curve():
     curve = QuadraticCurve(a=1.0, b=2.5, c2=0.5)  # slopes in [2, 3]
     expr = ConvexPlateau(curve)
-    assert expr._layout.mode == "single_steep"
+    assert seam_place(expr) == "(a, 0)"
     assert eval_at(expr, (0.0, 0.0)) == 0.0
     assert cost(expr) == pytest.approx(3.0, abs=1e-12)  # -alpha'(0)
     assert cost_total(expr) == pytest.approx(2.5, abs=1e-12)  # plateau = b
 
 
+def _box_points(curve, seed, n=2000):
+    return np.random.default_rng(seed).uniform(0.0, 1.5, (n, 2)) * curve.intercepts()
+
+
 def test_concave_fallback_steep_curve_linear_extension():
+    # Every slope is at least 1: the seam is (0, b), and the function is the
+    # branch continued linearly past the intercept, capped at b.
     curve = QuadraticCurve(a=1.0, b=1.625, c2=-0.375)  # slopes in [1.25, 2]
     expr = ConcaveStep(curve)
-    assert expr._layout.mode == "single_steep"
+    assert seam_place(expr) == "(0, b)"
     assert eval_at(expr, (0.0, 0.0)) == 0.0
-    # beyond the y-intercept the section keeps slope 1 + beta'(b) >= 0
-    tail = 1.0 + float(curve.beta_prime(curve.b))
-    v1 = eval_at(expr, (0.5, 2.0))
-    v2 = eval_at(expr, (0.5, 2.5))
-    assert v2 - v1 == pytest.approx(0.5 * tail, abs=1e-9)
-    assert cost_total(expr) is None
+    X = _box_points(curve, 11)
+    reference = concave_linear_tail_reference(curve, X)
+    assert eval_at(expr, X).tobytes() == np.minimum(reference, curve.b).tobytes()
+    # beyond the y-intercept the linear tail keeps rising (slope 1 + beta'(b) > 0); the cap cuts it
+    assert np.any(reference > curve.b)
+    assert eval_at(expr, (0.5, 2.0)) == eval_at(expr, (0.5, 2.4)) == curve.b
+    assert cost_total(expr) == curve.b
 
 
 def test_concave_fallback_shallow_curve():
     curve = QuadraticCurve(a=1.0, b=0.55, c2=-0.25)  # slopes in [0.3, 0.8]
     expr = ConcaveStep(curve)
-    assert expr._layout.mode == "single_shallow"
+    assert seam_place(expr) == "(a, 0)"
     assert eval_at(expr, (0.0, 0.0)) == 0.0
     x = 0.5
     y = float(curve.alpha(x))
@@ -418,16 +428,27 @@ def test_concave_fallback_shallow_curve():
     assert (g.left[1], g.right[1]) == (1.0, 0.0)
     assert g.left[0] == 1.0
     assert g.right[0] == pytest.approx(1.0 + float(curve.alpha_prime(x)), abs=1e-12)
-    assert cost_total(expr) is None  # tail slope 1 + alpha'(a) = 0.2
+    # the linear tail past a (slope 1 + alpha'(a) = 0.2) is capped at a
+    X = _box_points(curve, 12)
+    reference = concave_linear_tail_reference(curve, X)
+    assert eval_at(expr, X).tobytes() == np.minimum(reference, curve.a).tobytes()
+    assert np.any(reference > curve.a)
+    assert cost_total(expr) == curve.a
 
 
 @pytest.mark.parametrize("b, mode, total", [(1.25, "single_steep", 1.25), (0.75, "single_shallow", 1.0)])
 def test_concave_fallback_with_flat_tail_is_bounded(b, mode, total):
     # Slopes in [1, 1.5] and [0.5, 1]: the tail slope 1 + beta'(b), resp.
-    # 1 + alpha'(a), is 0, so the supremum is the intercept the branch ends at.
-    expr = ConcaveStep(QuadraticCurve(a=1.0, b=b, c2=-0.25))
-    assert expr._layout.mode == mode
+    # 1 + alpha'(a), is 0, so the linear tail never passes the intercept the
+    # branch ends at, and the cap there leaves every value as it is.
+    curve = QuadraticCurve(a=1.0, b=b, c2=-0.25)
+    expr = ConcaveStep(curve)
+    assert seam_place(expr) == {"single_steep": "(0, b)", "single_shallow": "(a, 0)"}[mode]
     assert cost_total(expr) == total
+    X = _box_points(curve, 13)
+    reference = concave_linear_tail_reference(curve, X)
+    assert eval_at(expr, X).tobytes() == np.minimum(reference, total).tobytes()
+    assert eval_at(expr, X).tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -445,28 +466,49 @@ def test_piecewise_node_rejects_an_invalid_curve(node_type, curve):
 
 # ------------------------------------------------ tie rule against an oracle
 
-# Every piecewise node in every layout mode it admits (ConvexDiag has no
-# single-branch form).
+@pytest.mark.parametrize(
+    "a, b, scale",
+    [(1.0, 1.0, 1.0), (0.75, 1.4, 1.0), (2.0, 0.5, 2.0), (1e7, 5e6, 2.0**23), (1e-3, 5e-4, 2.0**-10)],
+)
+def test_tie_tolerance_is_measured_in_the_box_scale(a, b, scale):
+    # 1e-12 times the power of two nearest the box's longest side, as the grid LP's scale
+    node = ConvexPlateau(QuadraticCurve(a=a, b=b, c2=0.25 * b / a**2))
+    assert node._layout.tol == 1e-12 * scale
+
+
+# Every piecewise node with its seam at each place it admits (ConvexDiag
+# needs an interior seam), at unit scale and at a 1e7 box.  The label names
+# the slopes -alpha': "full" on both sides of 1, "single_shallow" at most 1,
+# "single_steep" at least 1.
 ORACLE_CASES = [
-    (ConvexPlateau, QuadraticCurve(a=1.0, b=1.0, c2=0.5), "full"),
-    (ConvexPlateau, hyperbola_through(0.8, 1.7, 0.3), "full"),
-    (ConvexPlateau, QuadraticCurve(a=1.0, b=0.5, c2=0.25), "single_shallow"),
-    (ConvexPlateau, QuadraticCurve(a=1.0, b=2.5, c2=0.5), "single_steep"),
-    (ConvexDiag, QuadraticCurve(a=1.0, b=1.0, c2=0.5), "full"),
-    (ConvexDiag, hyperbola_through(0.8, 1.7, 0.3), "full"),
-    (ConcaveStep, QuadraticCurve(a=1.0, b=1.0, c2=-0.375), "full"),
-    (ConcaveStep, QuadraticCurve(a=0.734, b=1.447, c2=-1.7672675571130532), "full"),
-    (ConcaveStep, QuadraticCurve(a=1.0, b=1.625, c2=-0.375), "single_steep"),
-    (ConcaveStep, QuadraticCurve(a=1.0, b=0.55, c2=-0.25), "single_shallow"),
+    (ConvexPlateau, QuadraticCurve(a=1.0, b=1.0, c2=0.5), "full", "interior"),
+    (ConvexPlateau, hyperbola_through(0.8, 1.7, 0.3), "full", "interior"),
+    (ConvexPlateau, QuadraticCurve(a=1.0, b=0.5, c2=0.25), "single_shallow", "(0, b)"),
+    (ConvexPlateau, QuadraticCurve(a=1.0, b=2.5, c2=0.5), "single_steep", "(a, 0)"),
+    (ConvexDiag, QuadraticCurve(a=1.0, b=1.0, c2=0.5), "full", "interior"),
+    (ConvexDiag, hyperbola_through(0.8, 1.7, 0.3), "full", "interior"),
+    (ConcaveStep, QuadraticCurve(a=1.0, b=1.0, c2=-0.375), "full", "interior"),
+    (ConcaveStep, QuadraticCurve(a=0.734, b=1.447, c2=-1.7672675571130532), "full", "interior"),
+    (ConcaveStep, QuadraticCurve(a=1.0, b=1.625, c2=-0.375), "single_steep", "(0, b)"),
+    (ConcaveStep, QuadraticCurve(a=1.0, b=0.55, c2=-0.25), "single_shallow", "(a, 0)"),
+    (ConvexPlateau, HyperbolaCurve(a=1e7, b=5e6, s=4e6, t=2e6), "large_full", "interior"),
+    (ConvexDiag, HyperbolaCurve(a=1e7, b=5e6, s=4e6, t=2e6), "large_full", "interior"),
+    (ConvexPlateau, QuadraticCurve(a=1e7, b=5e6, c2=2.5e-8), "large_single_shallow", "(0, b)"),
+    (ConvexPlateau, QuadraticCurve(a=1e7, b=2.5e7, c2=5e-8), "large_single_steep", "(a, 0)"),
+    (ConcaveStep, QuadraticCurve(a=1e7, b=1e7, c2=-3.75e-8), "large_full", "interior"),
+    (ConcaveStep, QuadraticCurve(a=1e7, b=1.625e7, c2=-3.75e-8), "large_single_steep", "(0, b)"),
+    (ConcaveStep, QuadraticCurve(a=1e7, b=5.5e6, c2=-2.5e-8), "large_single_shallow", "(a, 0)"),
 ]
 
 
 @pytest.mark.parametrize(
-    "node_type, curve, mode", ORACLE_CASES, ids=[f"{t.__name__}-{m}-{i}" for i, (t, _, m) in enumerate(ORACLE_CASES)]
+    "node_type, curve, label, seam",
+    ORACLE_CASES,
+    ids=[f"{t.__name__}-{label}-{i}" for i, (t, _, label, _) in enumerate(ORACLE_CASES)],
 )
-def test_kernel_matches_three_way_tie_oracle(node_type, curve, mode):
+def test_kernel_matches_three_way_tie_oracle(node_type, curve, label, seam):
     node = node_type(curve)
-    assert node._layout.mode == mode
+    assert seam_place(node) == seam
     X = tie_batch(node, np.random.default_rng(8))
     # The batch must hold ties that the queried side decides.
     x, y = X[:, 0], X[:, 1]

@@ -9,8 +9,10 @@ expression file that ``construct`` wrote.  No LP is solved (the configs carry
 Malformed surface and expression documents are run once each and must keep
 their exit code and error message.
 
-``python tests/test_golden_cli.py`` rewrites ``tests/golden/`` from the
-current code; review the diff before committing it.
+``python tests/test_golden_cli.py`` records every case with the current
+code, prints per file ``unchanged`` or the keys of the records that changed,
+appeared or vanished, and rewrites only the files that changed; review the
+diff before committing it.
 """
 
 import contextlib
@@ -49,8 +51,10 @@ CASES = {
     "quadratic_concave": (_quadratic(1.0, 1.0, -0.375), "auto"),
     "line": (_line(2.0, 1.0), "auto"),
     "hyperbola": (_hyperbola(2.0, 0.5, 0.4, 0.1), "auto"),
+    # a box near 1e7, where the seam ties are measured in the box's scale
+    "hyperbola_large": (_hyperbola(1e7, 5e6, 4e6, 2e6), "auto"),
     "hyperbola_inconsistent": (_hyperbola(1.0, 1.0, 1.0, 2.0), "auto"),
-    # single-branch fallbacks: no point of normal (1, 1)
+    # endpoint seams: no point of normal (1, 1)
     "fallback_convex_shallow": (_quadratic(2.0, 0.5, 0.1), "auto"),
     "fallback_convex_steep": (_quadratic(1.0, 2.5, 0.5), "auto"),
     "fallback_concave_shallow": (_quadratic(1.0, 0.5, -0.2), "auto"),
@@ -257,6 +261,13 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
         assert got[key] == text, f"{name}: {key} differs from the golden output"
 
 
+def _changes(old, new):
+    """Keys of the records that differ between two golden files' records, in the new file's order first."""
+    keys = list(new) + [key for key in old if key not in new]
+    changed = [" ".join(key) for key in keys if old.get(key) != new.get(key)]
+    return ", ".join(changed) if changed else "record order"
+
+
 def main():
     GOLDEN.mkdir(exist_ok=True)
     here = os.getcwd()
@@ -267,9 +278,17 @@ def main():
                 records = record(name)
             finally:
                 os.chdir(here)
-        with open(_golden_path(name), "w", newline="") as stream:
-            stream.write(dump_records(records))
-        print(f"wrote {_golden_path(name)}")
+        path, blob = _golden_path(name), dump_records(records)
+        old = None
+        if path.exists():
+            with open(path, newline="") as stream:
+                old = stream.read()
+        if blob == old:
+            print(f"{path.name}: unchanged")
+            continue
+        with open(path, "w", newline="") as stream:
+            stream.write(blob)
+        print(f"{path.name}: " + ("new file" if old is None else _changes(load_records(old), records)))
 
 
 if __name__ == "__main__":

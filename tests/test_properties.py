@@ -21,10 +21,11 @@ from elopt import (  # noqa: E402
     build_lp,
     check_feasible,
     construct,
+    cost_total,
     normal_ratio_bound,
     solve_lp,
 )
-from helpers import assert_matches_tie_oracle, tie_batch  # noqa: E402
+from helpers import assert_matches_tie_oracle, seam_place, tie_batch  # noqa: E402
 
 
 def _curve_through_end_slopes(family, a, s0, sa):
@@ -38,7 +39,7 @@ def _curve_through_end_slopes(family, a, s0, sa):
 
 
 def test_claims_meet_the_ratio_bound_and_the_tie_oracle():
-    modes = set()
+    places = set()
 
     @hypothesis.settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @hypothesis.given(
@@ -57,8 +58,10 @@ def test_claims_meet_the_ratio_bound_and_the_tie_oracle():
             hypothesis.assume(s0 > 1.01 * sa)
         curve = _curve_through_end_slopes(family, a, s0, sa)
         hypothesis.assume(curve.shape != SHAPE_LINEAR and curve.validate().valid)
-        claimed = construct(curve).claimed_cost
-        assert claimed == pytest.approx(normal_ratio_bound(curve).value, rel=1e-9, abs=0.0)
+        built = construct(curve)
+        assert built.claimed_cost == pytest.approx(normal_ratio_bound(curve).value, rel=1e-9, abs=0.0)
+        # every built-in construction is bounded: the paper's second cost is finite
+        assert cost_total(built.expr) is not None
 
         # The kernel resolves every tie as the three-way oracle does.
         convex = curve.shape == SHAPE_CONVEX
@@ -68,13 +71,13 @@ def test_claims_meet_the_ratio_bound_and_the_tie_oracle():
         rng = np.random.default_rng(0)
         for node in nodes:
             assert_matches_tie_oracle(node, tie_batch(node, rng, random_points=8))
-            modes.add((family, node._layout.mode))
+            places.add((family, seam_place(node)))
 
     claim_is_the_bound()
-    assert modes == {
-        (family, mode)
+    assert places == {
+        (family, place)
         for family in ("quadratic", "hyperbola")
-        for mode in ("full", "single_shallow", "single_steep")
+        for place in ("interior", "(0, b)", "(a, 0)")
     }
 
 

@@ -154,7 +154,7 @@ class _Points:
 
 class _Layout(NamedTuple):
     """What a piecewise node derives from its curve: the seam, the range's supremum and the tie tolerance."""
-    t_x: float      # seam point: T, or an endpoint when the curve has no T
+    t_x: float      # seam point T; without T an endpoint, its axis coordinate -inf
     t_y: float
     sup: float      # supremum of the range, the plateau value
     tol: float      # tie tolerance on coordinates, _TIE_TOL times the box's scale
@@ -238,9 +238,7 @@ class Sum(ELExpr):
 
     def __post_init__(self) -> None:
         if self.left.dim != self.right.dim:
-            raise DomainError(
-                f"Sum children disagree on dimension: {self.left.dim} vs {self.right.dim}"
-            )
+            raise DomainError(f"Sum children disagree on dimension: {self.left.dim} vs {self.right.dim}")
 
     @property
     def dim(self) -> int:
@@ -393,10 +391,10 @@ class _CurveConstruction(ELExpr):
     ``_layout`` once: the seam, the supremum of the range and the tie
     tolerance.  A curve without a point of normal (1, 1) gets its seam at the
     endpoint ``_seam_at_b`` picks, whose normal is the nearer to (1, 1), and
-    then runs the same layout as any other.  It classifies points into
-    pieces (``_regions``), each piece given by the formulas of its value and
-    partials in ``_PIECES``; ``None`` stands for the plateau, with zero
-    partials.
+    then runs the same layout as any other, every point being past the
+    seam's coordinate on the axis.  It classifies points into pieces
+    (``_regions``), each given by the formulas of its value and partials in
+    ``_PIECES``; ``None`` stands for the plateau, with zero partials.
 
     A batch is split once per call into regions by the comparisons with the
     seam coordinates: past both (the plateau), the two strips, and the
@@ -421,8 +419,7 @@ class _CurveConstruction(ELExpr):
     def __post_init__(self) -> None:
         if self.curve.shape != self._required_shape:
             raise ShapeError(
-                f"{type(self).__name__} requires a {self._required_shape} curve, "
-                f"got shape {self.curve.shape!r}"
+                f"{type(self).__name__} requires a {self._required_shape} curve, got shape {self.curve.shape!r}"
             )
         report = self.curve.validate()
         if not report.valid:
@@ -435,11 +432,15 @@ class _CurveConstruction(ELExpr):
 
     @cached_property
     def _layout(self) -> _Layout:
+        # An endpoint seam's coordinate on the axis is -inf: no tie next to the
+        # axis reaches the region beyond it, whose formulas need slope 1 there.
         box = self.curve.intercepts()
-        t = self.curve.t_point()
-        if t is None:
-            t = TPoint(0.0, box[1]) if self._seam_at_b(*self.curve.slope_range()) else TPoint(box[0], 0.0)
-        return _Layout(t.t_x, t.t_y, self._seam_plateau(t), _TIE_TOL * _box_scale(box))
+        t = seam = self.curve.t_point()
+        if t is None and self._seam_at_b(*self.curve.slope_range()):
+            t, seam = TPoint(0.0, box[1]), TPoint(-math.inf, box[1])
+        elif t is None:
+            t, seam = TPoint(box[0], 0.0), TPoint(box[0], -math.inf)
+        return _Layout(seam.t_x, seam.t_y, self._seam_plateau(t), _TIE_TOL * _box_scale(box))
 
     def _seam_at_b(self, s_lo: float, s_hi: float) -> bool:
         """Endpoint seam of a curve whose slopes ``-alpha'`` lie in ``[s_lo, s_hi]``, all on one side of 1: (0, b) if True, else (a, 0)."""

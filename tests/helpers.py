@@ -200,9 +200,10 @@ def partials_reference(node, X):
 def seam_place(node):
     """Where a piecewise node's seam sits: ``"interior"``, ``"(0, b)"`` or ``"(a, 0)"``."""
     lay, (a, b) = node._layout, node.curve.intercepts()
-    if (lay.t_x, lay.t_y) == (0.0, b):
+    # an endpoint seam reads -inf on its axis: every point is past it
+    if (lay.t_x, lay.t_y) == (-math.inf, b):
         return "(0, b)"
-    if (lay.t_x, lay.t_y) == (a, 0.0):
+    if (lay.t_x, lay.t_y) == (a, -math.inf):
         return "(a, 0)"
     # T of a curve whose end slope is 1 up to rounding may round onto an axis
     assert 0.0 <= lay.t_x <= a and 0.0 <= lay.t_y <= b, lay
@@ -229,8 +230,8 @@ def tie_batch(node, rng, random_points=64):
     a, b = node.curve.intercepts()
     lay = node._layout
     offsets = [d * lay.tol for d in TIE_OFFSETS]
-    xs = np.array([max(c + d, 0.0) for c in (lay.t_x, a, 0.0) for d in offsets])
-    ys = np.array([max(c + d, 0.0) for c in (lay.t_y, b, 0.0) for d in offsets])
+    xs = np.array([max(c + d, 0.0) for c in (max(lay.t_x, 0.0), a, 0.0) for d in offsets])
+    ys = np.array([max(c + d, 0.0) for c in (max(lay.t_y, 0.0), b, 0.0) for d in offsets])
     rx = rng.uniform(0.0, 1.5 * a, random_points)
     ry = rng.uniform(0.0, 1.5 * b, random_points)
     on_x = rng.uniform(0.0, a, random_points)

@@ -386,6 +386,9 @@ def test_convex_fallback_shallow_curve():
     assert (g.left[0], g.right[0]) == (1.0, 0.0)
     assert g.left[1] == pytest.approx(-float(curve.beta_prime(0.2)), abs=1e-12)
     assert g.left[1] > 1.0 and g.right[1] == 0.0
+    # next to the axis the seam sits on, strictly below the curve
+    g = one_sided_partials(expr, (5e-13, 0.2))
+    assert (g.left[0], g.right[0]) == (1.0, 1.0)
 
 
 def test_convex_fallback_steep_curve():
@@ -434,6 +437,9 @@ def test_concave_fallback_shallow_curve():
     assert eval_at(expr, X).tobytes() == np.minimum(reference, curve.a).tobytes()
     assert np.any(reference > curve.a)
     assert cost_total(expr) == curve.a
+    # past the intercept, next to the axis the seam sits on, the function is the constant a
+    g = one_sided_partials(expr, (1.2, 5e-13))
+    assert g.left.tolist() == g.right.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("b, mode, total", [(1.25, "single_steep", 1.25), (0.75, "single_shallow", 1.0)])
@@ -518,3 +524,41 @@ def test_kernel_matches_three_way_tie_oracle(node_type, curve, label, seam):
     assert_matches_tie_oracle(node, X)
     for point in X[::17]:
         assert_matches_tie_oracle(node, point[None, :])
+
+
+@pytest.mark.parametrize(
+    "node_type, curve, label, seam",
+    ORACLE_CASES,
+    ids=[f"{t.__name__}-{label}-{i}" for i, (t, _, label, _) in enumerate(ORACLE_CASES)],
+)
+def test_one_sided_partials_are_ordered_on_ties(node_type, curve, label, seam):
+    # left >= right >= 0 wherever left exists, on points within a few tie
+    # tolerances of every boundary and of the axes; the slack covers the
+    # rounding of slopes equal to 1 at an interior seam.
+    node = node_type(curve)
+    g = one_sided_partials(node, tie_batch(node, np.random.default_rng(8)))
+    assert np.all(g.right >= 0.0)
+    assert np.all(np.where(g.defined_left, g.left - g.right, 0.0) >= -1e-9)
+
+
+@pytest.mark.parametrize(
+    "node_type, curve, label, seam",
+    [case for case in ORACLE_CASES if case[3] != "interior"],
+    ids=[f"{t.__name__}-{label}" for t, _, label, seam in ORACLE_CASES if seam != "interior"],
+)
+def test_endpoint_seam_has_no_ties_at_its_axis(node_type, curve, label, seam):
+    # A point within the tie tolerance of the axis an endpoint seam sits on
+    # takes the partials of its neighbours a few tolerances off the axis: the
+    # region past the axis lies outside the orthant, and its formulas hold
+    # only where the slope is 1.
+    node = node_type(curve)
+    a, b = curve.intercepts()
+    tol = node._layout.tol
+    axis = 0 if seam == "(0, b)" else 1
+    along = np.random.default_rng(9).uniform(0.0, 1.5, 200) * (b if axis == 0 else a)
+    along = along[np.abs(along - (b if axis == 0 else a)) > 1e-6 * max(a, b)]  # off the curve's end
+    far = one_sided_partials(node, np.insert(np.full((along.size, 1), 4.0 * tol), 1 - axis, along, axis=1))
+    for offset in (0.5, 1.0):
+        near = one_sided_partials(node, np.insert(np.full((along.size, 1), offset * tol), 1 - axis, along, axis=1))
+        np.testing.assert_allclose(near.left, far.left, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(near.right, far.right, rtol=0.0, atol=1e-9)

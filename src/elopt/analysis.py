@@ -51,7 +51,7 @@ from .constructions import construct
 from .errors import DomainError, _integer
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
 from .lp_oracle import GridLP, LPSolution, build_lp, solve_lp
-from .surfaces import Curve2D, Hyperplane, Surface
+from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, Curve2D, Hyperplane, Surface, _box_scale
 
 __all__ = [
     "PropertyCheck",
@@ -72,9 +72,9 @@ DEFAULT_PAIR_SAMPLES = 10_000
 DEFAULT_SURFACE_SAMPLES = 1_000
 
 # Exact derivative rules make violations sharp; tolerances only absorb float
-# rounding.  Function-value properties: absolute.  Derivative comparisons:
-# absolute on exact rules, relative (floored at magnitude 1) against finite
-# differences.
+# rounding.  Function values and steps: in units of the box's scale.
+# Derivative comparisons: absolute on exact rules, relative (floored at
+# magnitude 1) against finite differences.
 VALUE_TOL = 1e-7
 DERIV_TOL = 1e-9
 FD_REL_TOL = 1e-6
@@ -199,7 +199,8 @@ def check_el(
     own generator; the tasks run on up to one thread per available CPU and
     are reported in the fixed order of ``_PROPERTIES``, so identical seeds
     give bit-identical reports.  A plain callable must therefore be safe to
-    call from several threads at once.
+    call from several threads at once.  For a power of two ``lam``,
+    ``lam * f(x / lam)`` on ``lam * box`` gets ``f``'s report, lengths times ``lam``.
     """
     samples = _integer(samples, 0, "check_el needs a non-negative integer sample count")
     seed = _integer(seed, 0, "check_el needs a non-negative integer seed")
@@ -211,6 +212,8 @@ def check_el(
     if is_expr and fn.dim != n:
         raise DomainError(f"box has dim {n}, expression has dim {fn.dim}")
     value = _value_batch(fn)
+    lam = _box_scale(box_arr)
+    value_tol = VALUE_TOL * lam
 
     seeds = np.random.SeedSequence(seed).spawn(len(_PROPERTIES))
     gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
@@ -220,11 +223,11 @@ def check_el(
     checks = [PropertyCheck("pointed", v0 == 0.0, abs(v0), 0.0, _pt(np.zeros(n)), 1)]
 
     sampled = [
-        ("monotone", VALUE_TOL, partial(_monotone, value, box_arr)),
-        ("submodular", VALUE_TOL, partial(_submodular, value, box_arr)),
-        ("dr_coordinate", VALUE_TOL, partial(_diminishing_returns, True, value, box_arr)),
-        ("dr_general", VALUE_TOL, partial(_diminishing_returns, False, value, box_arr)),
-        ("directional_concavity", VALUE_TOL, partial(_directional_concavity, value, box_arr)),
+        ("monotone", value_tol, partial(_monotone, value, box_arr)),
+        ("submodular", value_tol, partial(_submodular, value, box_arr)),
+        ("dr_coordinate", value_tol, partial(_diminishing_returns, True, value, box_arr)),
+        ("dr_general", value_tol, partial(_diminishing_returns, False, value, box_arr)),
+        ("directional_concavity", value_tol, partial(_directional_concavity, value, box_arr)),
     ]
     listed = []
     if is_expr:
@@ -232,7 +235,7 @@ def check_el(
             ("left_at_least_right", DERIV_TOL, partial(_left_at_least_right, fn, box_arr)),
             ("derivative_monotone", DERIV_TOL, partial(_derivative_monotone, fn, box_arr)),
         ]
-        listed = [partial(_fd_check, fn, box_arr), partial(_limit_check, fn, box_arr)]
+        listed = [partial(_fd_check, fn, box_arr, lam), partial(_limit_check, fn, box_arr, lam)]
     tasks = [partial(_fold, name, tol, samples, block) for name, tol, block in sampled] + listed
     checks += _run_tasks([partial(task, gen) for task, gen in zip(tasks, gens[1:])])
 
@@ -404,7 +407,7 @@ def _derivative_monotone(expr: ELExpr, box_arr, gen, rows):
     return _row_max(diff), lambda i: (_pt(x[i]), _pt(y[i]), int(np.argmax(diff[i])))
 
 
-def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
+def _fd_check(expr: ELExpr, box_arr, lam, gen) -> PropertyCheck:
     """One-sided difference quotients against the exact rules.
 
     Quotients are only meaningful when the step does not straddle a branch
@@ -418,7 +421,7 @@ def _fd_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     """
     n = box_arr.size
     P = _points(box_arr, gen, _FD_POINTS)
-    h = 1e-7 * np.maximum(1.0, np.max(np.abs(P), axis=1))
+    h = 1e-7 * np.maximum(lam, np.max(np.abs(P), axis=1))
     base = eval_at(expr, P)
     grad = one_sided_partials(expr, P)
     viols = []
@@ -447,14 +450,14 @@ def _ladder_limit(seq: np.ndarray) -> np.ndarray:
     return seq[-1] + (seq[-1] - seq[-2]) / 9.0
 
 
-def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
+def _limit_check(expr: ELExpr, box_arr, lam, gen) -> PropertyCheck:
     """One-sided derivatives are limits of nearby right derivatives.
 
     Walking in from the right, ``f_i^+(x + eps e_i)`` increases monotonically
     to ``f_i^+(x)`` as ``eps`` shrinks; walking in from the left,
     ``f_i^+(x - eps e_i)`` decreases monotonically to ``f_i^-(x)``.  Both are
-    checked over a geometric ``eps`` ladder: monotonicity rung by rung, and
-    the limit against the ladder extrapolated to ``eps = 0``.
+    checked over a geometric ``eps`` ladder in units of the box's scale
+    ``lam``: monotonicity rung by rung, and the limit against its extrapolation.
     """
     n = box_arr.size
     P = _points(box_arr, gen, _LIMIT_POINTS)
@@ -464,14 +467,14 @@ def _limit_check(expr: ELExpr, box_arr, gen) -> PropertyCheck:
     for i in range(n):
         for side, sign in (("right", 1.0), ("left", -1.0)):
             # a left ladder needs room for its largest rung
-            usable = P[:, i] > LIMIT_EPS[0] if sign < 0 else np.full(len(P), True)
+            usable = P[:, i] > LIMIT_EPS[0] * lam if sign < 0 else np.full(len(P), True)
             if not np.any(usable):
                 continue
             R = P[usable]
             seq = []
             for eps in LIMIT_EPS:
                 Q = R.copy()
-                Q[:, i] += sign * eps
+                Q[:, i] += sign * eps * lam
                 seq.append(one_sided_partials(expr, Q).right[:, i])
             seq = np.stack(seq)  # ladder index grows as eps shrinks
             # rising toward f_i^+ from the right, falling toward f_i^- from the left
@@ -552,17 +555,14 @@ def normal_ratio_bound(surface: Surface) -> RatioBound:
         n = surface.dim
         center = tuple(surface.M / (n * ck) for ck in surface.c)
         return RatioBound(value=float(c[j] / c[i]), point=center, j=j, i=i)
-    s0 = -float(surface.alpha_prime(0.0))
-    sa = -float(surface.alpha_prime(surface.a))
-    s_lo, s_hi = min(s0, sa), max(s0, sa)
-    # Slope is monotone along every built-in family, so both extremes sit at
-    # the endpoints of the curve.
+    s_lo, s_hi = surface.slope_range()
+    # The slope -alpha' falls along a convex curve and rises along a concave
+    # one, so x = a holds s_lo or s_hi respectively; a flat slope is taken at 0.
     if s_hi >= 1.0 / s_lo:
-        x_star = 0.0 if s0 >= sa else surface.a
-        value, j, i = s_hi, 0, 1
+        value, j, i, far = s_hi, 0, 1, SHAPE_CONCAVE
     else:
-        x_star = 0.0 if s0 <= sa else surface.a
-        value, j, i = 1.0 / s_lo, 1, 0
+        value, j, i, far = 1.0 / s_lo, 1, 0, SHAPE_CONVEX
+    x_star = surface.a if s_lo < s_hi and surface.shape == far else 0.0
     point = (float(x_star), float(surface.alpha(x_star)))
     return RatioBound(value=float(value), point=point, j=j, i=i)
 

@@ -25,11 +25,11 @@ Every node supports batched evaluation and *exact* one-sided partial
 derivatives.  Left/right limits are propagated symbolically through the
 combinators; on the piecewise nodes a branch-region classifier with
 deterministic tie handling (coordinate tolerance 1e-12 in units of the box's
-power-of-two scale, ties resolved towards the side being queried) picks the
-adjacent open region, so a one-sided value is always the limit from that
-side.  Left derivatives do not exist on the coordinate hyperplanes
-``x_i = 0``; they are reported as NaN together with the ``defined_left``
-mask of :class:`OneSidedGrad`, never as an exception.
+scale, ties resolved towards the side being queried) picks the adjacent open
+region, so a one-sided value is always the limit from that side.  Left
+derivatives do not exist on the coordinate hyperplanes ``x_i = 0``; they are
+reported as NaN together with the ``defined_left`` mask of
+:class:`OneSidedGrad`, never as an exception.
 
 Two cost functionals complete the module: :func:`cost`, the largest right
 partial derivative at the origin, and :func:`cost_total`, the supremum of
@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ShapeError
-from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, Curve2D, TPoint, _box_scale
+from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, Curve2D, TPoint, _box_scale, _TIE_TOL
 
 __all__ = [
     "ELExpr",
@@ -67,10 +67,6 @@ __all__ = [
     "cost",
     "cost_total",
 ]
-
-# Branch-boundary classification tolerance on coordinates; the piecewise
-# nodes measure it in units of their box's power-of-two scale.
-_TIE_TOL = 1e-12
 
 
 def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -312,7 +308,7 @@ class TruncateMin(ELExpr):
         # (n, k) runs n inner loops of length k, several times slower.
         li, ri = self.inner._partials(X)
         v = np.repeat(self.inner._values(X), li.shape[1]).reshape(li.shape)
-        atol = _TIE_TOL * max(1.0, abs(self.cap))
+        atol = _TIE_TOL * _box_scale((self.cap,))
         return np.where(v > self.cap + atol, 0.0, li), np.where(v < self.cap - atol, ri, 0.0)
 
     def _sup(self):
@@ -347,15 +343,11 @@ class Clamp(ELExpr):
 
     def _partials(self, X):
         # Coordinates strictly below the clamp pass the inner derivatives
-        # through; on the clamp the left limit survives and the right one is
-        # zero; beyond it both vanish.
-        Y = np.minimum(X, self._at)
-        li, ri = self.inner._partials(Y)
-        below = X < self._at - _TIE_TOL
-        at_clamp = np.abs(X - self._at) <= _TIE_TOL
-        left = np.where(below | at_clamp, li, 0.0)
-        right = np.where(below, ri, 0.0)
-        return left, right
+        # through; on the clamp, up to ties in its box's scale, the left limit
+        # survives and the right one is zero; beyond it both vanish.
+        li, ri = self.inner._partials(np.minimum(X, self._at))
+        tol = _TIE_TOL * _box_scale(self.at)
+        return np.where(X <= self._at + tol, li, 0.0), np.where(X < self._at - tol, ri, 0.0)
 
     def _sup(self):
         # Monotone inner, so the supremum over min(x, at) sits at the clamp.

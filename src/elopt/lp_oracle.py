@@ -34,17 +34,18 @@ LP-feasible with objective at most ``cost(f)``, and minimising over the
 larger LP polytope can only go lower.  The restriction argument is machine-
 checked by :func:`restriction_check`.
 
-The rows measure ``f`` in units of ``scale = 2**round(log2(max(box)))``, so
+The rows measure ``f`` in units of ``scale = surfaces._box_scale(box)``, so
 the crossing right-hand sides and objective coefficients are ``h_d / scale``
 for a box of any size.  HiGHS's tolerances are absolute; in the box's own
 units an LP solved above the ratio bound on a box near 4e9 and was reported
 infeasible on one near 4e-6 (Neumaier & Shcherbina, Math. Prog. 99, 2004,
 warn against such rows).  A power of two scales exactly: :func:`solve_lp`
 multiplies the grid back, :func:`restriction_check` divides ``f`` by it, and
-:func:`dump_lp` writes the scaled model.  The crossing search works on
-``c / scale``, with a tie window of 1e-12: crossings that fall on a grid node
-use the same cells (the quotients stay on the correct sides of the crossing),
-and out-of-range crossings are skipped, which only weakens the relaxation.
+:func:`dump_lp` writes the scaled model, naming a scale other than 1.  The
+crossing search works on ``c / scale`` with the nodes' tie window
+``_TIE_TOL``: crossings that fall on a grid node use the same cells (the
+quotients stay on the correct sides of the crossing), and out-of-range
+crossings are skipped, which only weakens the relaxation.
 The LP is feasible at every scale (the restriction of any feasible function
 is a witness; with no crossing rows the zero function satisfies everything)
 and bounded below by 0, so a deterministic solve returns a finite optimum.
@@ -82,7 +83,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError, _integer
 from .exprs import ELExpr, eval_at
-from .surfaces import Surface, _box_scale
+from .surfaces import Surface, _box_scale, _TIE_TOL
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -99,7 +100,6 @@ __all__ = [
 ]
 
 M_CAP = 96
-_CROSS_TIE = 1e-12
 ROW_TOL = 1e-9
 
 
@@ -226,11 +226,11 @@ def build_lp(surface: Surface, m: int) -> GridLP:
     for d, (cross, A) in enumerate(zip((surface.beta, surface.alpha), axes)):
         across = 1 - d
         c = cross(np.minimum(nodes[across], box[across])) / scale
-        outside = ~((-_CROSS_TIE <= c) & (c <= box[d] / scale + _CROSS_TIE))
+        outside = ~((-_TIE_TOL <= c) & (c <= box[d] / scale + _TIE_TOL))
         if outside.any():
             at = float(nodes[across][np.argmax(outside)])
             raise DomainError(f"surface exits the grid box at {'xy'[across]} = {at!r}")
-        k = np.floor((c + _CROSS_TIE) / (h[d] / scale)).astype(int)
+        k = np.floor((c + _TIE_TOL) / (h[d] / scale)).astype(int)
         q = np.flatnonzero((1 <= k) & (k <= m - 2))
         k = k[q]
         head = f"cross_{'xy'[d]}[{'ij'[across]}"
@@ -404,7 +404,8 @@ def dump_lp(lp: GridLP, stream: TextIO) -> None:
     which matches how :func:`solve_lp` poses the problem.
     """
     names = _node_names(np.arange(lp.n_vars - 1), lp.shape, "f_", "_") + ["t"]
-    stream.write(f"\\ grid LP lower bound ({lp.surface}), m = {lp.m}\n")
+    units = "" if lp.scale == 1.0 else f", scale = {lp.scale!r}"
+    stream.write(f"\\ grid LP lower bound ({lp.surface}), m = {lp.m}{units}\n")
     stream.write("Minimize\n obj: t\nSubject To\n")
     stream.write(" point_origin: f_0_0 = 0\n")
     indptr, indices, data = (a.tolist() for a in (lp.geq_indptr, lp.geq_indices, lp.geq_data))

@@ -25,7 +25,8 @@ pointwise and the seam ``alpha' = -1`` in closed form, so a sampled or
 piecewise-linear curve would wreck derivative exactness.  ``alpha`` and
 ``beta`` snap their values at the interval endpoints to the exact
 intercepts; ``validate`` separately checks that the raw closed forms agree
-with the intercepts to 1e-12, which catches inconsistent parameter sets.
+with the intercepts to 1e-12 of the box's scale, which catches inconsistent
+parameter sets.
 """
 
 from __future__ import annotations
@@ -61,16 +62,20 @@ SHAPE_CONCAVE = "strictly_concave"
 SLOPE_MIN = 1e-6
 SLOPE_MAX = 1e6
 
-_ENDPOINT_TOL = 1e-12
+# Coordinate ties (the nodes' branches, the LP's crossings, a curve's
+# endpoints), in units of the box's scale.
+_TIE_TOL = 1e-12
 
 
 def _box_scale(box) -> float:
-    """The power of two nearest the box's longest side, ``2**round(log2(max(box)))``.
+    """The program's length unit, ``2**floor(log2(max(box)))`` (0 for a box of side 0).
 
-    The grid LP measures ``f`` in these units and the piecewise nodes scale
-    their tie tolerance by it; a power of two scales exactly.
+    Every length tolerance, step and slack is measured in it, so dilating the
+    box by a power of two dilates every result exactly; a longest side in
+    [1, 2) gives 1.  ``frexp`` is exact where ``log2`` can round up.
     """
-    return 2.0 ** round(math.log2(max(box)))
+    mant, exp = math.frexp(max(box))
+    return math.ldexp(0.5, exp) if mant else 0.0
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -199,7 +204,7 @@ class Curve2D:
     @staticmethod
     def _check_range(arg, limit: float, name: str) -> np.ndarray:
         arr = np.asarray(arg, dtype=float)
-        slack = 1e-9 * max(1.0, limit)
+        slack = 1e-9 * _box_scale((limit,))
         if arr.size and (np.any(arr < -slack) or np.any(arr > limit + slack)):
             raise DomainError(f"{name} outside [0, {limit}]")
         return arr
@@ -252,13 +257,13 @@ class Curve2D:
 
     def validate(self) -> SurfaceValidationReport:
         violations: list[str] = []
-        scale = max(1.0, abs(self.b))
+        tol = _TIE_TOL * _box_scale(self.intercepts())
 
         raw0 = float(self._alpha_raw(np.float64(0.0)))
         rawa = float(self._alpha_raw(np.float64(self.a)))
-        if abs(raw0 - self.b) > _ENDPOINT_TOL * scale:
+        if abs(raw0 - self.b) > tol:
             violations.append(f"alpha(0) = {raw0!r} does not equal the y-intercept b = {self.b!r}")
-        if abs(rawa) > _ENDPOINT_TOL * scale:
+        if abs(rawa) > tol:
             violations.append(f"alpha(a) = {rawa!r} does not vanish at the x-intercept a = {self.a!r}")
 
         xs = np.linspace(0.0, self.a, 1025)

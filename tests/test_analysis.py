@@ -482,6 +482,20 @@ def _reference(name, fn, box, samples, seed, block):
     )
 
 
+def test_planted_supermodular_function_fails_at_a_small_scale():
+    # f(x) = lam g(x / lam) with g(u) = u1 + u2 + 0.05 u1 u2 is supermodular
+    # at every scale; at lam = 2^-20 its worst violation, 4.1e-8, passed an
+    # absolute tolerance of 1e-7.  Measured in the box's scale it fails as g does.
+    def planted(lam):
+        return lambda p: lam * (p[0] / lam + p[1] / lam + 0.05 * (p[0] / lam) * (p[1] / lam))
+
+    lam = 2.0**-20
+    unit = check_el(planted(1.0), (1.0, 1.0)).property("submodular")
+    small = check_el(planted(lam), (lam, lam)).property("submodular")
+    assert not unit.passed and not small.passed
+    assert (small.worst_violation, small.tolerance) == (lam * unit.worst_violation, lam * unit.tolerance)
+
+
 def test_block_size_never_changes_a_report(qc, monkeypatch):
     # At every block size a report is the reference above: its own stream
     # per block, folded as one argmax.

@@ -10,6 +10,7 @@ from elopt import (
     ShapeError,
     check_feasible,
     concave_construct,
+    construct,
     convex_diag,
     convex_plateau,
     cost,
@@ -19,6 +20,25 @@ from elopt import (
     normal_ratio_bound,
 )
 from helpers import QC_TX, QC_TY, hyperbola_through, seam_place
+
+
+def test_linear_opt_on_a_tiny_plane():
+    # A cap of 2^-40 lies within an absolute 1e-12 of f(0) = 0; in the cap's
+    # scale the origin is below it, and the derivative rules give the cost.
+    res = linear_opt(Hyperplane(c=(1.0, 2.0), M=2.0**-40))
+    assert res.claimed_cost == cost(res.expr) == 2.0
+
+
+@pytest.mark.parametrize("c2_per_b_over_a2", [0.6, -0.3])
+def test_endpoint_seam_constructions_build_at_every_scale(c2_per_b_over_a2):
+    # Their build-time suite runs in the box's scale; with absolute
+    # tolerances and steps it failed at k <= -13 and k >= 28 (convex) and at
+    # k <= -21 and k >= 27 (concave).
+    for k in range(-30, 31):
+        a, b = 1.37 * 2.0**k, 0.81 * 2.0**k
+        curve = QuadraticCurve(a=a, b=b, c2=c2_per_b_over_a2 * b / a**2)
+        assert curve.t_point() is None
+        assert construct(curve).claimed_cost == pytest.approx(normal_ratio_bound(curve).value, rel=1e-9), k
 
 
 def test_linear_opt_worked_examples():

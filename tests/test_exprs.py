@@ -60,6 +60,26 @@ def test_truncate_kink_derivative_pair():
     assert above.left[0] == 0.0 and above.right[0] == 0.0
 
 
+def test_clamp_ties_are_measured_in_the_scale_of_its_box():
+    # a clamp at 2^-40 (about 9e-13) lies within an absolute 1e-12 of the origin
+    assert cost(Clamp((2.0**-40, 2.0**-40), Linear((1.0, 1.0)))) == 1.0
+
+
+def test_truncate_ties_are_measured_in_the_scale_of_its_cap():
+    # a cap of 2^-40 lies within an absolute 1e-12 of every value below it
+    tiny = 2.0**-40
+    g = one_sided_partials(TruncateMin(tiny, Linear((1.0, 2.0))), (0.25 * tiny, 0.25 * tiny))
+    assert g.left.tolist() == g.right.tolist() == [1.0, 2.0]
+
+
+def test_truncate_at_cap_zero():
+    # a cap of 0 has no scale: its tie window is empty, and the function is 0
+    zero = TruncateMin(0.0, Linear((1.0, 2.0)))
+    g = one_sided_partials(zero, [(0.0, 0.0), (0.5, 0.25)])
+    assert g.right.tolist() == [[0.0, 0.0], [0.0, 0.0]] and g.left[1].tolist() == [0.0, 0.0]
+    assert eval_at(zero, (0.5, 0.25)) == 0.0
+
+
 def test_linear_sum_scale_partials():
     expr = Sum(Linear((1.0, 2.0)), Scale(0.5, Linear((2.0, 2.0))))
     g = one_sided_partials(expr, (0.3, 0.7))
@@ -474,10 +494,14 @@ def test_piecewise_node_rejects_an_invalid_curve(node_type, curve):
 
 @pytest.mark.parametrize(
     "a, b, scale",
-    [(1.0, 1.0, 1.0), (0.75, 1.4, 1.0), (2.0, 0.5, 2.0), (1e7, 5e6, 2.0**23), (1e-3, 5e-4, 2.0**-10)],
+    [
+        (1.0, 1.0, 1.0), (0.75, 1.4, 1.0), (1.9, 0.6, 1.0), (2.0, 0.5, 2.0), (0.75, 0.5, 0.5),
+        (1e7, 5e6, 2.0**23), (1e-3, 5e-4, 2.0**-10),
+    ],
 )
 def test_tie_tolerance_is_measured_in_the_box_scale(a, b, scale):
-    # 1e-12 times the power of two nearest the box's longest side, as the grid LP's scale
+    # 1e-12 times the largest power of two not above the box's longest side,
+    # the grid LP's scale
     node = ConvexPlateau(QuadraticCurve(a=a, b=b, c2=0.25 * b / a**2))
     assert node._layout.tol == 1e-12 * scale
 

@@ -329,6 +329,16 @@ def test_dump_format_and_determinism(h11):
     assert text.rstrip().endswith("End")
 
 
+def test_dump_header_names_a_scale_other_than_one(h11):
+    # the rows measure f in units of lp.scale; a dump must say which
+    hyp = hyperbola_through(2.0, 0.5, 0.4)
+    for surface, tail in ((hyp, ", scale = 2.0"), (h11, "")):
+        lp = build_lp(surface, 6)
+        out = io.StringIO()
+        dump_lp(lp, out)
+        assert out.getvalue().splitlines()[0] == f"\\ grid LP lower bound ({surface!r}), m = 6{tail}"
+
+
 def test_hyperplane_crossings_fill_the_diagonal(h11, h12):
     # the intercept box normalises any 2-D plane to the grid diagonal, so
     # exactly m - 2 crossings fit per direction

@@ -135,6 +135,22 @@ def test_validate_flags_inconsistent_hyperbola_parameters():
     assert hyperbola_through(1.0, 2.0, 1.0).validate().valid
 
 
+def test_endpoint_test_is_measured_in_the_box_scale():
+    # The golden case hyperbola_inconsistent shrunk by 2^-40: alpha(0) = 2b
+    # misses b by less than an absolute 1e-12.
+    tiny = 2.0**-40
+    report = HyperbolaCurve(a=tiny, b=tiny, s=tiny, t=2.0 * tiny).validate()
+    assert not report.valid
+    assert any("y-intercept" in v for v in report.violations)
+
+
+def test_range_slack_is_measured_in_the_box_scale():
+    # 200 times the intercept is outside [0, a], whatever the box's size
+    tiny = 2.0**-40
+    with pytest.raises(DomainError, match="^x outside"):
+        QuadraticCurve(a=tiny, b=tiny, c2=0.5 / tiny).alpha(200.0 * tiny)
+
+
 def test_validate_flags_shape_mismatch():
     report = QuadraticCurve(a=1.0, b=1.0, c2=-0.5, shape="strictly_convex").validate()
     assert not report.valid

@@ -42,7 +42,6 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -311,15 +310,13 @@ def _fold(name, tol, count, block, gen) -> PropertyCheck:
     return PropertyCheck(name, worst <= tol, worst, tol, found, count)
 
 
-def _listed(name, tol, viols, witnesses, gen) -> PropertyCheck:
-    """``_fold`` over violations and their witnesses, already listed; each block takes the next rows."""
-    ahead = zip(viols, witnesses)
-
-    def block(_, rows):
-        v, w = zip(*islice(ahead, rows))
-        return np.array(v), w.__getitem__
-
-    return _fold(name, tol, len(viols), block, gen)
+def _listed(name, tol, viols, witnesses) -> PropertyCheck:
+    """The worst of violations already listed with their witnesses, picked as ``_fold`` picks."""
+    if not viols:
+        return PropertyCheck(name, True, 0.0, tol, None, 0)
+    i = int(np.argmax(viols))
+    worst = float(viols[i])
+    return PropertyCheck(name, worst <= tol, worst, tol, witnesses[i], len(viols))
 
 
 def _points(box_arr, gen, rows):
@@ -442,7 +439,7 @@ def _fd_check(expr: ELExpr, box_arr, lam, gen) -> PropertyCheck:
             for row in np.nonzero(smooth)[0]:
                 viols.append(rel[row])
                 witnesses.append((_pt(P[row]), i, side))
-    return _listed("fd_agreement", FD_REL_TOL, viols, witnesses, gen)
+    return _listed("fd_agreement", FD_REL_TOL, viols, witnesses)
 
 
 def _ladder_limit(seq: np.ndarray) -> np.ndarray:
@@ -484,10 +481,11 @@ def _limit_check(expr: ELExpr, box_arr, lam, gen) -> PropertyCheck:
             for k, row in enumerate(np.nonzero(usable)[0]):
                 viols.append(max(float(mono[k]), float(conv[k])))
                 witnesses.append((_pt(P[row]), i, side))
-    return _listed("derivative_limits", LIMIT_TOL, viols, witnesses, gen)
+    return _listed("derivative_limits", LIMIT_TOL, viols, witnesses)
 
 
-def _sample_curve_inner(curve: Curve2D, samples: int, gen, margin: float) -> np.ndarray:
+def _sample_curve_inner(curve: Curve2D, samples: int, gen, frac: float) -> np.ndarray:
+    margin = frac * curve.a
     xs = gen.uniform(margin, curve.a - margin, samples)
     return np.column_stack([xs, np.asarray(curve.alpha(xs))])
 
@@ -510,19 +508,16 @@ def check_feasible(
 
     Surface points are sampled strictly inside the surface with a relative
     margin from its boundary (the jump requirement applies to points with
-    all coordinates positive).  Feasible means every jump >= 1 - 1e-6.
+    all coordinates positive); the report's ``margin`` is that fraction.
+    Feasible means every jump >= 1 - 1e-6.
     """
     if expr.dim != surface.dim:
         raise DomainError(f"expression has dim {expr.dim}, surface has dim {surface.dim}")
     samples = _integer(samples, 1, "check_feasible needs an integer count of at least one sample")
     seed = _integer(seed, 0, "check_feasible needs a non-negative integer seed")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if isinstance(surface, Hyperplane):
-        margin = FEASIBLE_MARGIN_FRAC
-        points = _sample_hyperplane_inner(surface, samples, gen, margin)
-    else:
-        margin = FEASIBLE_MARGIN_FRAC * surface.a
-        points = _sample_curve_inner(surface, samples, gen, margin)
+    sample_inner = _sample_hyperplane_inner if isinstance(surface, Hyperplane) else _sample_curve_inner
+    points = sample_inner(surface, samples, gen, FEASIBLE_MARGIN_FRAC)
     grad = one_sided_partials(expr, points)
     jumps = grad.left - grad.right
     flat = int(np.argmin(jumps))
@@ -535,7 +530,7 @@ def check_feasible(
         witness_coord=int(col),
         samples=samples,
         seed=seed,
-        margin=float(margin),
+        margin=FEASIBLE_MARGIN_FRAC,
         tolerance=JUMP_TOL,
     )
 

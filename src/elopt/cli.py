@@ -6,8 +6,9 @@ Config document (JSON, schema version 1; unknown keys are rejected)::
       "schema": 1,
       "surface": {"kind": "hyperplane", "c": [1.0, 2.0], "M": 1.0}
                | {"kind": "curve", "family": "line" | "quadratic" | "hyperbola",
-                  "a": 1.0, "b": 1.0, "shape": "auto" | "linear" |
-                  "strictly_convex" | "strictly_concave",
+                  "a": 1.0, "b": 1.0,
+                  "shape": "auto",        # optional; or the curve's own shape:
+                                          # linear | strictly_convex | strictly_concave
                   "params": {}            # line
                           | {"c2": 0.5}   # quadratic
                           | {"s": 1.0, "t": 1.0}},  # hyperbola
@@ -152,17 +153,15 @@ def _box(surface: Surface) -> tuple[float, ...]:
 
 
 def _build_constructions(job: _Job) -> list[ConstructionResult]:
-    """The configured construction; ``auto`` on a convex curve adds ``convex_diag`` when it applies."""
+    """The configured construction; ``auto`` on a convex curve with a seam point adds ``convex_diag``."""
     results = [construct(job.surface, job.construction)]
     if (
         job.construction == "auto"
         and not isinstance(job.surface, Hyperplane)
         and job.surface.shape == SHAPE_CONVEX
+        and job.surface.t_point() is not None
     ):
-        try:
-            results.append(convex_diag(job.surface))
-        except ConstructionError:
-            pass  # no seam point: only the plateau fallback applies
+        results.append(convex_diag(job.surface))
     return results
 
 

@@ -113,9 +113,9 @@ def linear_opt(surface: Hyperplane) -> ConstructionResult:
 
 
 def linear_opt_curve(curve: Curve2D) -> ConstructionResult:
-    """Optimal function for a linear curve, via the equivalent hyperplane ``x/a + y/b = 1``."""
+    """Optimal function for a linear curve, via its own normal: the hyperplane ``(b/a) x + y = b``."""
     _require_shape(curve, SHAPE_LINEAR)
-    return linear_opt(Hyperplane(c=(1.0 / curve.a, 1.0 / curve.b), M=1.0))
+    return linear_opt(Hyperplane(c=(curve.b / curve.a, 1.0), M=curve.b))
 
 
 def convex_plateau(curve: Curve2D) -> ConstructionResult:

@@ -28,6 +28,9 @@ from .exprs import (
     TruncateMin,
 )
 from .surfaces import (
+    SHAPE_CONCAVE,
+    SHAPE_CONVEX,
+    SHAPE_LINEAR,
     Curve2D,
     Hyperplane,
     HyperbolaCurve,
@@ -112,7 +115,12 @@ def surface_from_dict(doc: dict) -> Surface:
                 raise ConfigError(f"unknown curve family {family!r}")
             names = _curve_params(cls)
             params = _take(fields["params"] or {}, names, {}, f"{family} params")
-            return cls(a=a, b=b, shape=shape, **{name: float(params[name]) for name in names})
+            curve = cls(a=a, b=b, **{name: float(params[name]) for name in names})
+            if shape not in ("auto", curve.shape):
+                if shape not in (SHAPE_LINEAR, SHAPE_CONVEX, SHAPE_CONCAVE):
+                    raise ValueError(f"unknown shape flag {shape!r}")
+                raise ConfigError(f"shape flag {shape!r} does not match the curve's shape {curve.shape!r}")
+            return curve
         raise ConfigError(f"unknown surface kind {doc['kind']!r}")
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

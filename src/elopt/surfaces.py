@@ -15,10 +15,12 @@ Two kinds of surface are supported:
 
 Every valid surface is compact, avoids the origin, and has strictly positive
 outward normals, so it separates a downward-closed region (below) from its
-complement (above).  ``validate`` checks these requirements quantitatively
-and never raises for a mathematical violation -- it returns the list of
-violated clauses instead.  Malformed input (``a <= 0``, non-finite numbers)
-raises ``ValueError`` at construction time.
+complement (above).  ``validate`` checks these requirements on the closed
+forms (a curve's slope window is its ``slope_range``) and never raises for
+a mathematical violation -- it returns the list of violated clauses
+instead.  A curve's ``shape`` (linear, strictly convex or strictly concave)
+is worked out from its parameters.  Malformed input (``a <= 0``,
+non-finite numbers) raises ``ValueError`` at construction time.
 
 Only analytic families are provided: the constructions consume ``alpha'``
 pointwise and the seam ``alpha' = -1`` in closed form, so a sampled or
@@ -32,7 +34,7 @@ parameter sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -154,8 +156,9 @@ class Curve2D:
     """Strictly decreasing analytic curve from ``(0, b)`` to ``(a, 0)``.
 
     Subclasses provide the raw closed forms ``_alpha_raw``, ``_beta_raw``,
-    ``alpha_prime``, ``alpha_second`` and the seam root ``_seam_x``;
-    everything else (snapping, inverse-derivative rule, validation) is shared.
+    ``alpha_prime`` and the seam root ``_seam_x``, and set ``shape`` from
+    their parameters; everything else (snapping, inverse-derivative rule,
+    validation) is shared.
     All evaluators accept scalars or numpy arrays.
     """
 
@@ -177,14 +180,8 @@ class Curve2D:
     def alpha_prime(self, x):
         raise NotImplementedError
 
-    def alpha_second(self, x):
-        raise NotImplementedError
-
     def _seam_x(self) -> float:
         """Root of ``alpha'(x) = -1``; asked for only when the slopes straddle 1."""
-        raise NotImplementedError
-
-    def _derived_shape(self) -> str:
         raise NotImplementedError
 
     # -- shared surface interface -------------------------------------------
@@ -236,7 +233,8 @@ class Curve2D:
         """Range of ``-alpha'`` over ``[0, a]``.
 
         All built-in families have monotone ``alpha'``, so the extremes sit
-        at the endpoints.
+        at the endpoints.  ``validate`` reads its slope window here: a family
+        whose ``alpha'`` is not monotone must supply its own extremes.
         """
         s0 = -float(self.alpha_prime(0.0))
         sa = -float(self.alpha_prime(self.a))
@@ -266,13 +264,11 @@ class Curve2D:
         if abs(rawa) > tol:
             violations.append(f"alpha(a) = {rawa!r} does not vanish at the x-intercept a = {self.a!r}")
 
-        xs = np.linspace(0.0, self.a, 1025)
-        slopes = -np.asarray(self.alpha_prime(xs), dtype=float)
-        s_lo = float(np.min(slopes))
-        s_hi = float(np.max(slopes))
+        s_lo, s_hi = self.slope_range()
         if s_lo <= 0.0:
             violations.append("alpha is not strictly decreasing on [0, a]")
-        for s_end, label in ((float(slopes[0]), "x=0"), (float(slopes[-1]), "x=a")):
+        for x, label in ((0.0, "x=0"), (self.a, "x=a")):
+            s_end = -float(self.alpha_prime(x))
             if s_end < SLOPE_MIN:
                 violations.append(
                     f"normal degenerate at endpoint {label}: -alpha' = {s_end!r} below {SLOPE_MIN}"
@@ -280,31 +276,17 @@ class Curve2D:
         if s_hi > SLOPE_MAX:
             violations.append(f"slope -alpha' = {s_hi!r} exceeds the bound {SLOPE_MAX}")
 
-        curv = np.asarray(self.alpha_second(xs[1:-1]), dtype=float)
-        if self.shape == SHAPE_CONVEX and not np.all(curv > 0.0):
-            violations.append("shape flag strictly_convex does not match the curvature sign")
-        elif self.shape == SHAPE_CONCAVE and not np.all(curv < 0.0):
-            violations.append("shape flag strictly_concave does not match the curvature sign")
-        elif self.shape == SHAPE_LINEAR and not np.all(curv == 0.0):
-            violations.append("shape flag linear requires zero curvature")
-
         return SurfaceValidationReport(
             kind="curve",
             valid=not violations,
             violations=tuple(violations),
-            slope_range=(min(s_lo, s_hi), max(s_lo, s_hi)),
+            slope_range=(s_lo, s_hi),
             shape=self.shape,
         )
 
-    def _init_common(self, shape: str) -> None:
+    def _init_common(self) -> None:
         object.__setattr__(self, "a", _require_positive("a", self.a))
         object.__setattr__(self, "b", _require_positive("b", self.b))
-        derived = self._derived_shape()
-        if shape == "auto":
-            shape = derived
-        if shape not in (SHAPE_LINEAR, SHAPE_CONVEX, SHAPE_CONCAVE):
-            raise ValueError(f"unknown shape flag {shape!r}")
-        object.__setattr__(self, "shape", shape)
 
 
 @dataclass(frozen=True)
@@ -313,15 +295,12 @@ class LineCurve(Curve2D):
 
     a: float
     b: float
-    shape: str = "auto"
+    shape: str = field(default=SHAPE_LINEAR, init=False)
 
     family = "line"
 
     def __post_init__(self) -> None:
-        self._init_common(self.shape)
-
-    def _derived_shape(self) -> str:
-        return SHAPE_LINEAR
+        self._init_common()
 
     def _alpha_raw(self, x):
         return self.b - (self.b / self.a) * x
@@ -331,9 +310,6 @@ class LineCurve(Curve2D):
 
     def alpha_prime(self, x):
         return np.full_like(np.asarray(x, dtype=float), -(self.b / self.a))[()]
-
-    def alpha_second(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))[()]
 
 
 @dataclass(frozen=True)
@@ -347,7 +323,7 @@ class QuadraticCurve(Curve2D):
     a: float
     b: float
     c2: float
-    shape: str = "auto"
+    shape: str = field(init=False)
 
     family = "quadratic"
 
@@ -356,15 +332,10 @@ class QuadraticCurve(Curve2D):
         if not math.isfinite(c2):
             raise ValueError(f"c2 must be finite, got {c2!r}")
         object.__setattr__(self, "c2", c2)
-        self._init_common(self.shape)
+        self._init_common()
+        shape = SHAPE_CONVEX if c2 > 0.0 else SHAPE_CONCAVE if c2 < 0.0 else SHAPE_LINEAR
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "c1", -(self.b + self.c2 * self.a * self.a) / self.a)
-
-    def _derived_shape(self) -> str:
-        if self.c2 > 0.0:
-            return SHAPE_CONVEX
-        if self.c2 < 0.0:
-            return SHAPE_CONCAVE
-        return SHAPE_LINEAR
 
     def _alpha_raw(self, x):
         return self.b + self.c1 * x + self.c2 * x * x
@@ -380,9 +351,6 @@ class QuadraticCurve(Curve2D):
 
     def alpha_prime(self, x):
         return self.c1 + 2.0 * self.c2 * np.asarray(x, dtype=float)
-
-    def alpha_second(self, x):
-        return np.full_like(np.asarray(x, dtype=float), 2.0 * self.c2)[()]
 
     def _seam_x(self) -> float:
         return (-1.0 - self.c1) / (2.0 * self.c2)
@@ -401,18 +369,15 @@ class HyperbolaCurve(Curve2D):
     b: float
     s: float
     t: float
-    shape: str = "auto"
+    shape: str = field(default=SHAPE_CONVEX, init=False)
 
     family = "hyperbola"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", _require_positive("s", self.s))
         object.__setattr__(self, "t", _require_positive("t", self.t))
-        self._init_common(self.shape)
+        self._init_common()
         object.__setattr__(self, "kappa", self.t * (self.a + self.s))
-
-    def _derived_shape(self) -> str:
-        return SHAPE_CONVEX
 
     def _alpha_raw(self, x):
         return self.kappa / (np.asarray(x, dtype=float) + self.s) - self.t
@@ -423,10 +388,6 @@ class HyperbolaCurve(Curve2D):
     def alpha_prime(self, x):
         d = np.asarray(x, dtype=float) + self.s
         return -self.kappa / (d * d)
-
-    def alpha_second(self, x):
-        d = np.asarray(x, dtype=float) + self.s
-        return 2.0 * self.kappa / (d * d * d)
 
     def _seam_x(self) -> float:
         return math.sqrt(self.kappa) - self.s

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from elopt import (
+    ConstructionError,
     Hyperplane,
     LineCurve,
     QuadraticCurve,
@@ -165,6 +166,18 @@ def test_construct_emits_both_convex_builders(tmp_path, capsys, qc):
     # the two emitted optima disagree at the seam point: non-uniqueness
     assert eval_at(plateau, (0.5, 0.375)) == pytest.approx(1.125, abs=1e-9)
     assert eval_at(diag, (0.5, 0.375)) == pytest.approx(1.75, abs=1e-9)
+
+
+def test_construct_fails_loudly_when_the_diagonal_build_fails(tmp_path, capsys, monkeypatch):
+    # The worked convex arc has a seam point, so convex_diag applies and its
+    # failure is a construction failure, not a silently missing optimum.
+    def broken(curve):
+        raise ConstructionError("convex_diag: cost from derivative rules disagrees")
+
+    monkeypatch.setattr(cli, "convex_diag", broken)
+    cfg = write_config(tmp_path, QC_SURFACE)
+    assert main(["--config", cfg, "--out", str(tmp_path / "artifacts"), "construct"]) == 4
+    assert "convex_diag: cost from derivative rules disagrees" in capsys.readouterr().err
 
 
 def test_serialized_expression_round_trips_bit_exactly(qc):

@@ -100,6 +100,22 @@ def test_linear_curve_goes_through_the_hyperplane_builder():
     assert normal_ratio_bound(LineCurve(a=2.0, b=1.0)).value == pytest.approx(2.0)
 
 
+def test_line_claim_equals_its_ratio_bound():
+    # Built from the line's own normal (b/a, 1), the claim is the bound's
+    # float and the scale a unitless multiplier.
+    assert linear_opt_curve(LineCurve(a=1.0, b=3.0)).scale_k == 1.0
+    rng = np.random.default_rng(0)
+    checked = 0
+    for a, b in 10.0 ** rng.uniform(-6.0, 6.0, (400, 2)):
+        line = LineCurve(a=a, b=b)
+        if not line.validate().valid:
+            continue
+        res = linear_opt_curve(line)
+        assert res.claimed_cost == normal_ratio_bound(line).value, line
+        checked += 1
+    assert checked > 200
+
+
 @pytest.mark.parametrize(
     "curve",
     [

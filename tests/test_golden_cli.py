@@ -96,6 +96,7 @@ MALFORMED_SURFACES = {
     "curve_family_not_a_string": dict(_GOOD_CURVE, family=["q"]),
     "curve_family_number": dict(_GOOD_CURVE, family=3),
     "curve_unknown_shape": dict(_GOOD_CURVE, shape="wavy"),
+    "curve_shape_mismatch": dict(_GOOD_CURVE, shape="strictly_concave"),
     "quadratic_unknown_param": dict(_GOOD_CURVE, params={"c2": 0.5, "c3": 1.0}),
     "quadratic_missing_param": dict(_GOOD_CURVE, params={}),
     "quadratic_null_params": dict(_GOOD_CURVE, params=None),

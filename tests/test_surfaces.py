@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elopt import (
+    ConfigError,
     DomainError,
     Hyperplane,
     HyperbolaCurve,
@@ -12,6 +13,7 @@ from elopt import (
     build_lp,
     construct,
 )
+from elopt.serialize import surface_from_dict
 from elopt.surfaces import SLOPE_MAX
 from helpers import hyperbola_through, qc_beta, qcc_beta
 
@@ -151,14 +153,21 @@ def test_range_slack_is_measured_in_the_box_scale():
         QuadraticCurve(a=tiny, b=tiny, c2=0.5 / tiny).alpha(200.0 * tiny)
 
 
+def _load_quadratic(c2, shape):
+    doc = {"kind": "curve", "family": "quadratic", "a": 1.0, "b": 1.0, "shape": shape, "params": {"c2": c2}}
+    return surface_from_dict(doc)
+
+
 def test_validate_flags_shape_mismatch():
-    report = QuadraticCurve(a=1.0, b=1.0, c2=-0.5, shape="strictly_convex").validate()
-    assert not report.valid
-    assert any("curvature" in v for v in report.violations)
-    report = QuadraticCurve(a=1.0, b=1.0, c2=0.5, shape="linear").validate()
-    assert not report.valid
-    report = QuadraticCurve(a=1.0, b=1.0, c2=0.5, shape="strictly_concave").validate()
-    assert report.violations == ("shape flag strictly_concave does not match the curvature sign",)
+    # A curve's shape comes from its parameters; a document's optional shape
+    # key may only repeat it.
+    for c2, shape in ((0.5, "strictly_convex"), (-0.5, "strictly_concave"), (0.0, "linear")):
+        assert _load_quadratic(c2, shape).shape == _load_quadratic(c2, "auto").shape == shape
+    for c2, shape in ((-0.5, "strictly_convex"), (0.5, "linear"), (0.5, "strictly_concave")):
+        with pytest.raises(ConfigError, match=f"^shape flag '{shape}' does not match"):
+            _load_quadratic(c2, shape)
+    with pytest.raises(TypeError):
+        QuadraticCurve(a=1.0, b=1.0, c2=0.5, shape="strictly_convex")
 
 
 def test_validate_flags_slope_above_the_cap():
@@ -185,8 +194,8 @@ def test_malformed_inputs_raise():
         HyperbolaCurve(a=1.0, b=1.0, s=-0.1, t=1.0)
     with pytest.raises(ValueError):
         QuadraticCurve(a=1.0, b=1.0, c2=float("nan"))
-    with pytest.raises(ValueError):
-        QuadraticCurve(a=1.0, b=1.0, c2=0.5, shape="wiggly")
+    with pytest.raises(ConfigError, match="^malformed surface document: unknown shape flag 'wiggly'$"):
+        _load_quadratic(0.5, "wiggly")
     with pytest.raises(ValueError):
         Hyperplane(c=(1.0, -2.0), M=1.0)
     with pytest.raises(ValueError):

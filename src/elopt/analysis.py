@@ -125,12 +125,6 @@ class ELReport:
     box: tuple[float, ...]
     includes_derivative_checks: bool
 
-    def property(self, name: str) -> PropertyCheck:
-        for check in self.properties:
-            if check.name == name:
-                return check
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:

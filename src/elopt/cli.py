@@ -15,18 +15,17 @@ Config document (JSON, schema version 1; unknown keys are rejected)::
       "seed": 0,                  # optional
       "samples": 10000,           # optional, property-suite pairs
       "surface_samples": 1000,    # optional, feasibility points
-      "grid": [16, 32],           # optional, LP sizes
-      "construction": "auto"      # optional: auto | linear_opt | convex_plateau
-                                  #           | convex_diag | concave_step
+      "grid": [16, 32]            # optional, LP sizes
     }
 
 Subcommands: ``validate`` (surface report), ``bound`` (normal-ratio lower
-bound), ``construct`` (build the matching constructions, print cost and
+bound), ``construct`` (build every optimum the surface has, print cost and
 total cost, write each expression document), ``check`` (property suite +
-feasibility of a construction or of ``--expr FILE``), ``lp`` (grid-LP sweep
+feasibility of the default optimum or of ``--expr FILE``), ``lp`` (grid-LP sweep
 over the configured sizes), ``report`` (full bound/construction/LP bracket),
 ``sample`` (CSV grid ``x,y,f,fx_left,fx_right,fy_left,fy_right`` for
-plotting).
+plotting, of the default optimum or of ``--expr FILE``).  To check or sample
+another optimum, pass ``--expr`` the file ``construct`` wrote for it.
 
 Flags ``--seed``, ``--samples``, ``--grid`` override the config; ``--out``
 picks the artifact directory; ``--format json|text`` switches report
@@ -61,14 +60,8 @@ from .analysis import (
     lp_sweep,
     normal_ratio_bound,
 )
-from .constructions import CONSTRUCTION_NAMES, ConstructionResult, construct, convex_diag
-from .errors import (
-    ConfigError,
-    ConstructionError,
-    EloptError,
-    ShapeError,
-    SolverError,
-)
+from .constructions import ConstructionResult, construct, convex_diag
+from .errors import ConfigError, ConstructionError, EloptError, SolverError
 from .exprs import ELExpr, cost_total, eval_at, one_sided_partials
 from .lp_oracle import dump_lp
 from .serialize import dumps, expr_from_dict, expr_to_dict, surface_from_dict
@@ -76,7 +69,7 @@ from .surfaces import SHAPE_CONVEX, Hyperplane, Surface
 
 __all__ = ["main"]
 
-_KNOWN_KEYS = {"schema", "surface", "seed", "samples", "surface_samples", "grid", "construction"}
+_KNOWN_KEYS = {"schema", "surface", "seed", "samples", "surface_samples", "grid"}
 
 
 @dataclass
@@ -86,7 +79,6 @@ class _Job:
     samples: int
     surface_samples: int
     grid: tuple[int, ...]
-    construction: str
     out: Path
     fmt: str
 
@@ -120,9 +112,6 @@ def _load_job(args) -> _Job:
     if "surface" not in doc:
         raise ConfigError("config needs a \"surface\" entry")
     surface = surface_from_dict(doc["surface"])
-    construction = doc.get("construction", "auto")
-    if construction not in CONSTRUCTION_NAMES:
-        raise ConfigError(f"unknown construction {construction!r}")
     grid = args.grid if args.grid is not None else doc.get("grid", [16, 32])
     if not isinstance(grid, list):
         raise ConfigError(f"grid must be a list of integers, got {grid!r}")
@@ -135,7 +124,6 @@ def _load_job(args) -> _Job:
         samples=_count("samples", samples, 0),
         surface_samples=_count("surface_samples", surface_samples, 1),
         grid=tuple(_count("grid entry", m, 1) for m in grid),
-        construction=construction,
         out=Path(args.out),
         fmt=args.format,
     )
@@ -153,11 +141,10 @@ def _box(surface: Surface) -> tuple[float, ...]:
 
 
 def _build_constructions(job: _Job) -> list[ConstructionResult]:
-    """The configured construction; ``auto`` on a convex curve with a seam point adds ``convex_diag``."""
-    results = [construct(job.surface, job.construction)]
+    """The default optimum; a convex curve with a seam point adds ``convex_diag``."""
+    results = [construct(job.surface)]
     if (
-        job.construction == "auto"
-        and not isinstance(job.surface, Hyperplane)
+        not isinstance(job.surface, Hyperplane)
         and job.surface.shape == SHAPE_CONVEX
         and job.surface.t_point() is not None
     ):
@@ -221,7 +208,7 @@ def _cmd_construct(job: _Job, args) -> int:
 
 def _load_expr(job: _Job, expr_path: Optional[str]) -> ELExpr:
     if expr_path is None:
-        return construct(job.surface, job.construction).expr
+        return construct(job.surface).expr
     return expr_from_dict(_read_json(expr_path, "expression file"))
 
 
@@ -343,16 +330,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("validate", help="validate the configured surface").set_defaults(func=_cmd_validate)
     sub.add_parser("bound", help="normal-ratio lower bound").set_defaults(func=_cmd_bound)
-    sub.add_parser("construct", help="build the matching constructions").set_defaults(func=_cmd_construct)
+    sub.add_parser("construct", help="build every optimum").set_defaults(func=_cmd_construct)
     check = sub.add_parser("check", help="property suite + feasibility")
-    check.add_argument("--expr", default=None, help="serialized expression to check instead of the construction")
+    check.add_argument("--expr", default=None, help="serialized expression to check instead of the default optimum")
     check.set_defaults(func=_cmd_check)
     lp = sub.add_parser("lp", help="grid-LP lower bounds over the configured sizes")
     lp.add_argument("--dump-lp", action="store_true", help="write each LP in interchange text format")
     lp.set_defaults(func=_cmd_lp)
     sub.add_parser("report", help="full bound/construction/LP bracket").set_defaults(func=_cmd_report)
     sample = sub.add_parser("sample", help="CSV grid of values and one-sided partials")
-    sample.add_argument("--expr", default=None, help="serialized expression to sample instead of the construction")
+    sample.add_argument("--expr", default=None, help="serialized expression to sample instead of the default optimum")
     sample.set_defaults(func=_cmd_sample)
     return parser
 
@@ -369,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     sys.stderr.write(f"  - {clause}\n")
                 return 3
         return args.func(job, args)
-    except (ConfigError, ShapeError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except SolverError as exc:

@@ -4,8 +4,13 @@ Each builder returns a :class:`ConstructionResult` whose ``claimed_cost`` is
 computed from the surface's closed-form slopes and then cross-checked against
 ``cost(expr)`` from the derivative machinery; a mismatch beyond 1e-9, relative
 for claims above 1, is a build-time error, so the two independent paths guard
-each other.  A builder checks the curve's shape; the piecewise node it builds
-checks its validity.
+each other.  A curve of the wrong shape raises ``ShapeError``: the piecewise
+node a builder makes checks the curve's shape and validity, and
+:func:`linear_opt_curve`, which makes none, checks the shape itself.
+
+The optimum need not be unique: a convex curve with a point of normal (1, 1)
+has two, :func:`convex_plateau` and :func:`convex_diag`.  :func:`construct`
+returns a surface's default optimum; the CLI's ``construct`` writes every one.
 
 For curves without a point of normal (1, 1) the plateau and capped-sum
 nodes fall back to a seam at an endpoint of the curve.  Those functions get
@@ -32,7 +37,6 @@ from .exprs import (
 from .surfaces import SHAPE_CONCAVE, SHAPE_CONVEX, SHAPE_LINEAR, Curve2D, Hyperplane, Surface
 
 __all__ = [
-    "CONSTRUCTION_NAMES",
     "ConstructionResult",
     "construct",
     "linear_opt",
@@ -41,8 +45,6 @@ __all__ = [
     "convex_diag",
     "concave_construct",
 ]
-
-CONSTRUCTION_NAMES = ("auto", "linear_opt", "convex_plateau", "convex_diag", "concave_step")
 
 _COST_MATCH_TOL = 1e-9
 
@@ -65,11 +67,6 @@ class ConstructionResult:
     claimed_cost: float
     scale_k: float
     kind: str
-
-
-def _require_shape(curve: Curve2D, expected_shape: str) -> None:
-    if curve.shape != expected_shape:
-        raise ShapeError(f"expected a {expected_shape} curve, got shape {curve.shape!r}")
 
 
 def _finish(expr: ELExpr, claimed: float, scale_k: float, kind: str) -> ConstructionResult:
@@ -114,7 +111,8 @@ def linear_opt(surface: Hyperplane) -> ConstructionResult:
 
 def linear_opt_curve(curve: Curve2D) -> ConstructionResult:
     """Optimal function for a linear curve, via its own normal: the hyperplane ``(b/a) x + y = b``."""
-    _require_shape(curve, SHAPE_LINEAR)
+    if curve.shape != SHAPE_LINEAR:
+        raise ShapeError(f"expected a {SHAPE_LINEAR} curve, got shape {curve.shape!r}")
     return linear_opt(Hyperplane(c=(curve.b / curve.a, 1.0), M=curve.b))
 
 
@@ -125,7 +123,6 @@ def convex_plateau(curve: Curve2D) -> ConstructionResult:
     curve has no point with normal (1, 1) the node's seam sits at an endpoint,
     and the build is suite-verified.
     """
-    _require_shape(curve, SHAPE_CONVEX)
     expr = ConvexPlateau(curve)
     # Without a seam point the slopes lie on one side of 1, and -beta'(0) is
     # 1/(-alpha'(a)), so this max is also the cost of either fallback.
@@ -142,7 +139,6 @@ def convex_diag(curve: Curve2D) -> ConstructionResult:
     at least ``k = min(-alpha'(a), -beta'(b))``, so ``1/k`` times the raw
     function is the optimal feasible scaling with cost ``1/k``.
     """
-    _require_shape(curve, SHAPE_CONVEX)
     inner = ConvexDiag(curve)
     k = min(-curve.alpha_prime(curve.a), -curve.beta_prime(curve.b))
     scale = 1.0 / float(k)
@@ -159,7 +155,6 @@ def concave_construct(curve: Curve2D) -> ConstructionResult:
     (1, 1)-normal point gets its seam at an endpoint, and the build is
     suite-verified.
     """
-    _require_shape(curve, SHAPE_CONCAVE)
     node = ConcaveStep(curve)
     # As in convex_plateau, the min also picks the fallbacks' smallest jump.
     k = 1.0 / float(min(-curve.alpha_prime(0.0), -curve.beta_prime(0.0)))
@@ -169,28 +164,20 @@ def concave_construct(curve: Curve2D) -> ConstructionResult:
     return _finish(expr, k, k, "concave_construct")
 
 
-def construct(surface: Surface, name: str = "auto") -> ConstructionResult:
-    """Build the construction ``name`` (one of :data:`CONSTRUCTION_NAMES`) for ``surface``.
+def construct(surface: Surface) -> ConstructionResult:
+    """The default optimum for ``surface``.
 
-    ``"auto"`` picks the optimum matching the surface: ``linear_opt`` for
-    hyperplanes and linear curves, ``convex_plateau`` for convex curves and
-    ``concave_step`` for concave ones.
+    ``linear_opt`` for hyperplanes and linear curves, ``convex_plateau`` for
+    convex curves and ``concave_construct`` for concave ones.  A convex curve
+    with a point of normal (1, 1) has a second optimum, :func:`convex_diag`.
     """
-    if name not in CONSTRUCTION_NAMES:
-        raise ValueError(f"unknown construction {name!r}")
     if isinstance(surface, Hyperplane):
-        if name not in ("auto", "linear_opt"):
-            raise ShapeError(f"construction {name!r} needs a curve surface")
         return linear_opt(surface)
-    if name == "auto":
-        name = {SHAPE_LINEAR: "linear_opt", SHAPE_CONVEX: "convex_plateau",
-                SHAPE_CONCAVE: "concave_step"}[surface.shape]
     # Looked up per call, not kept in a module-level dict, so that a builder
     # rebound on this module (the benchmark's tracer does so) is the one run.
     builders = {
-        "linear_opt": linear_opt_curve,
-        "convex_plateau": convex_plateau,
-        "convex_diag": convex_diag,
-        "concave_step": concave_construct,
+        SHAPE_LINEAR: linear_opt_curve,
+        SHAPE_CONVEX: convex_plateau,
+        SHAPE_CONCAVE: concave_construct,
     }
-    return builders[name](surface)
+    return builders[surface.shape](surface)

@@ -12,7 +12,7 @@ class DomainError(EloptError, ValueError):
 
 
 class ShapeError(EloptError, ValueError):
-    """Curve shape flag incompatible with the requested construction."""
+    """A curve's shape does not fit the node or builder it is given to (a concave curve to ``ConvexDiag``)."""
 
 
 class ConstructionError(EloptError, RuntimeError):
@@ -20,7 +20,12 @@ class ConstructionError(EloptError, RuntimeError):
 
 
 class SolverError(EloptError, RuntimeError):
-    """LP solve failed (iteration budget or numerical breakdown)."""
+    """LP solve failed.
+
+    ``solve_lp`` raises it when scipy's HiGHS extension cannot be loaded,
+    when HiGHS rejects the model, when it ends with a status other than
+    optimal, or when the optimum it reports violates the model.
+    """
 
 
 class ConfigError(EloptError, ValueError):

@@ -117,6 +117,12 @@ def csv_rows_reference(columns):
     )
 
 
+def property_check(report, name):
+    """The one check named ``name`` in an ``ELReport``."""
+    (check,) = [check for check in report.properties if check.name == name]
+    return check
+
+
 # Piece codes of ``classify_reference``.
 _FLAT = 0       # constant plateau / region above the curve
 _XSTRIP = 1     # strip x >= t_x below the curve

@@ -25,7 +25,7 @@ from elopt import (
     restriction_check,
     solve_lp,
 )
-from helpers import fd_one_sided
+from helpers import fd_one_sided, property_check
 
 QC = QuadraticCurve(a=1.0, b=1.0, c2=0.5)
 QCC = QuadraticCurve(a=1.0, b=1.0, c2=-0.5)
@@ -82,7 +82,7 @@ def _suite_and_feasibility(expr, surface, seed):
         "dr_general",
         "directional_concavity",
     )
-    assert all(el.property(p).tolerance <= VALUE_TOL for p in value_props)
+    assert all(property_check(el, p).tolerance <= VALUE_TOL for p in value_props)
     feas = check_feasible(expr, surface, samples=FEAS_SAMPLES, seed=seed)
     return el.passed, feas.min_jump >= 1.0 - 1e-6
 
@@ -176,7 +176,7 @@ def test_criterion_5_lp_soundness():
 
 def test_criterion_6_falsifiability():
     rep = check_el(lambda p: p[0] * p[1], (2.0, 2.0), samples=2000, seed=6)
-    sub = rep.property("submodular")
+    sub = property_check(rep, "submodular")
     product_fails = (not sub.passed) and sub.witness is not None
     half = Scale(0.5, linear_opt(H12).expr)
     feas = check_feasible(half, H12, samples=FEAS_SAMPLES, seed=6)

@@ -30,7 +30,7 @@ from elopt import (
     one_sided_partials,
 )
 from elopt.lp_oracle import build_lp, solve_lp
-from helpers import hyperbola_through, sup_ratio_sampled
+from helpers import hyperbola_through, property_check, sup_ratio_sampled
 
 PROPERTY_ORDER = (
     "pointed",
@@ -147,7 +147,7 @@ def test_product_function_fails_submodularity_with_witness():
     rep = check_el(lambda p: p[0] * p[1], (2.0, 2.0), samples=2000, seed=3)
     assert not rep.passed
     assert not rep.includes_derivative_checks
-    sub = rep.property("submodular")
+    sub = property_check(rep, "submodular")
     assert not sub.passed
     assert sub.worst_violation > sub.tolerance
     # recompute the violation from the reported witness
@@ -389,7 +389,7 @@ def test_derivative_suite_catches_wrong_derivatives(qc):
     # must fail the FD cross-check
     for factor in (1.5, 1.0 + 1e-5):
         rep = check_el(_lying(factor)(qc), (1.2, 1.2), samples=1500, seed=11)
-        assert not rep.property("fd_agreement").passed, factor
+        assert not property_check(rep, "fd_agreement").passed, factor
 
 
 def test_derivative_checks_accept_strongly_curved_sections():
@@ -400,8 +400,8 @@ def test_derivative_checks_accept_strongly_curved_sections():
     curve = QuadraticCurve(a=0.734, b=1.447, c2=-1.7672675571130532)
     rep = check_el(concave_construct(curve).expr, (1.5 * curve.a, 1.5 * curve.b), samples=2000, seed=1)
     assert rep.passed
-    assert rep.property("fd_agreement").worst_violation < 1e-7
-    assert rep.property("derivative_limits").worst_violation < 1e-9
+    assert property_check(rep, "fd_agreement").worst_violation < 1e-7
+    assert property_check(rep, "derivative_limits").worst_violation < 1e-9
 
 
 class _Rising(ConvexPlateau):
@@ -490,8 +490,8 @@ def test_planted_supermodular_function_fails_at_a_small_scale():
         return lambda p: lam * (p[0] / lam + p[1] / lam + 0.05 * (p[0] / lam) * (p[1] / lam))
 
     lam = 2.0**-20
-    unit = check_el(planted(1.0), (1.0, 1.0)).property("submodular")
-    small = check_el(planted(lam), (lam, lam)).property("submodular")
+    unit = property_check(check_el(planted(1.0), (1.0, 1.0)), "submodular")
+    small = property_check(check_el(planted(lam), (lam, lam)), "submodular")
     assert not unit.passed and not small.passed
     assert (small.worst_violation, small.tolerance) == (lam * unit.worst_violation, lam * unit.tolerance)
 
@@ -525,7 +525,7 @@ def test_block_size_never_changes_a_report(qc, monkeypatch):
         names += ["left_at_least_right"] if rep.includes_derivative_checks else []
         for name in names:
             want = _reference(name, fn, box, samples, seed, block)
-            assert rep.property(name) == want and repr(rep.property(name)) == repr(want)
+            assert property_check(rep, name) == want and repr(property_check(rep, name)) == repr(want)
 
     check()
     assert seen == set(cases)

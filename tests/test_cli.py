@@ -15,6 +15,7 @@ from elopt import (
     check_el,
     check_feasible,
     construct,
+    convex_diag,
     convex_plateau,
     dump_lp,
     eval_at,
@@ -91,11 +92,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["--config", cfg, "validate"]) == 2
     cfg = write_config(tmp_path, dict(QC_SURFACE, family="circle"))
     assert main(["--config", cfg, "validate"]) == 2
-    cfg = write_config(tmp_path, QC_SURFACE, construction="mystery")
-    assert main(["--config", cfg, "validate"]) == 2
     no_schema = tmp_path / "ns.json"
     no_schema.write_text(json.dumps({"surface": QC_SURFACE}))
     assert main(["--config", str(no_schema), "validate"]) == 2
+
+
+@pytest.mark.parametrize("value", ["auto", "convex_diag", "mystery"])
+def test_construction_is_an_unknown_config_key(tmp_path, capsys, value):
+    # Every optimum is reached through construct plus --expr, so a config
+    # cannot pick one.
+    cfg = write_config(tmp_path, QC_SURFACE, construction=value)
+    assert main(["--config", cfg, "check"]) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: ['construction']\n"
 
 
 # Out-of-range or mistyped numbers: (config entries, argv after --config/--out).
@@ -316,7 +324,7 @@ def test_json_format_output_parses(tmp_path, capsys):
 
 
 def test_sample_csv_contract(tmp_path, capsys):
-    cfg = write_config(tmp_path, QC_SURFACE, construction="convex_plateau")
+    cfg = write_config(tmp_path, QC_SURFACE)
     out = tmp_path / "plots"
     assert main(["--config", cfg, "--out", str(out), "--grid", "8", "sample"]) == 0
     lines = (out / "sample.csv").read_text().splitlines()
@@ -331,44 +339,49 @@ def test_sample_csv_contract(tmp_path, capsys):
     assert blob == (out / "sample.csv").read_bytes()
 
 
-# (surface, construction) for every construction kind; H(1,2) auto builds a Scale.
+# (surface, builder) for every construction kind; H(1,2) builds a Scale.  A
+# default optimum is sampled as is, any other through the file construct wrote.
 SAMPLE_CASES = {
-    "convex_diag": (QC_SURFACE, "convex_diag"),
-    "convex_plateau": (QC_SURFACE, "convex_plateau"),
-    "concave_step": (QCC_SURFACE, "concave_step"),
-    "linear_opt": (LINE_SURFACE, "linear_opt"),
-    "hyperplane_scale": (H12_SURFACE, "auto"),
+    "convex_diag": (QC_SURFACE, convex_diag),
+    "convex_plateau": (QC_SURFACE, construct),
+    "concave_step": (QCC_SURFACE, construct),
+    "linear_opt": (LINE_SURFACE, construct),
+    "hyperplane_scale": (H12_SURFACE, construct),
 }
+
+
+def sample_csv(tmp_path, case, out):
+    """The ``sample.csv`` bytes that ``sample --grid 64`` writes to ``out`` for a case."""
+    surface_doc, build = SAMPLE_CASES[case]
+    cfg = write_config(tmp_path, surface_doc)
+    argv = ["--config", cfg, "--out", str(out), "--grid", "64", "sample"]
+    if build is not construct:
+        exprs = tmp_path / "exprs"
+        assert main(["--config", cfg, "--out", str(exprs), "construct"]) == 0
+        argv += ["--expr", str(exprs / f"{build.__name__}.expr.json")]
+    assert main(argv) == 0
+    return (out / "sample.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
 def test_sample_csv_matches_per_field_repr(tmp_path, case):
-    surface_doc, construction = SAMPLE_CASES[case]
-    cfg = write_config(tmp_path, surface_doc, construction=construction)
-    out = tmp_path / "plots"
-    assert main(["--config", cfg, "--out", str(out), "--grid", "64", "sample"]) == 0
-
+    surface_doc, build = SAMPLE_CASES[case]
     surface = surface_from_dict(surface_doc)
-    expr = construct(surface, construction).expr
+    expr = build(surface).expr
     xs, ys = (np.linspace(0.0, 1.25 * side, 65) for side in surface.intercepts())
     points = np.column_stack([np.repeat(xs, 65), np.tile(ys, 65)])
     grad = one_sided_partials(expr, points)
     columns = [points[:, 0], points[:, 1], eval_at(expr, points),
                grad.left[:, 0], grad.right[:, 0], grad.left[:, 1], grad.right[:, 1]]
     expected = CSV_HEADER + csv_rows_reference(columns)
-    assert (out / "sample.csv").read_bytes() == expected.encode()
+    assert sample_csv(tmp_path, case, tmp_path / "plots") == expected.encode()
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
 def test_sample_csv_does_not_depend_on_the_block_size(tmp_path, case, monkeypatch):
-    surface_doc, construction = SAMPLE_CASES[case]
-    cfg = write_config(tmp_path, surface_doc, construction=construction)
-
     def csv(block):
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
-        out = tmp_path / f"plots{block}"
-        assert main(["--config", cfg, "--out", str(out), "--grid", "64", "sample"]) == 0
-        return (out / "sample.csv").read_bytes()
+        return sample_csv(tmp_path, case, tmp_path / f"plots{block}")
 
     whole = csv(65 * 65)
     for block in (1000, 65 * 65 - 1):  # the second leaves a one-row block

@@ -43,28 +43,24 @@ def _line(a, b):
     return {"kind": "curve", "family": "line", "a": a, "b": b, "shape": "auto", "params": {}}
 
 
-# case name -> (surface document, construction)
+# case name -> surface document
 CASES = {
-    "h12": (H12, "auto"),
-    "hyperplane_3d": ({"kind": "hyperplane", "c": [1.0, 2.0, 3.0], "M": 2.0}, "auto"),
-    "quadratic_convex": (_quadratic(1.0, 1.0, 0.5), "auto"),
-    "quadratic_concave": (_quadratic(1.0, 1.0, -0.375), "auto"),
-    "line": (_line(2.0, 1.0), "auto"),
-    "hyperbola": (_hyperbola(2.0, 0.5, 0.4, 0.1), "auto"),
+    "h12": H12,
+    "hyperplane_3d": {"kind": "hyperplane", "c": [1.0, 2.0, 3.0], "M": 2.0},
+    "quadratic_convex": _quadratic(1.0, 1.0, 0.5),
+    "quadratic_concave": _quadratic(1.0, 1.0, -0.375),
+    "line": _line(2.0, 1.0),
+    "line_steep": _line(1.0, 3.0),
+    "hyperbola": _hyperbola(2.0, 0.5, 0.4, 0.1),
+    "hyperbola_unit": _hyperbola(1.0, 1.0, 1.0, 1.0),
     # a box near 1e7, where the seam ties are measured in the box's scale
-    "hyperbola_large": (_hyperbola(1e7, 5e6, 4e6, 2e6), "auto"),
-    "hyperbola_inconsistent": (_hyperbola(1.0, 1.0, 1.0, 2.0), "auto"),
+    "hyperbola_large": _hyperbola(1e7, 5e6, 4e6, 2e6),
+    "hyperbola_inconsistent": _hyperbola(1.0, 1.0, 1.0, 2.0),
     # endpoint seams: no point of normal (1, 1)
-    "fallback_convex_shallow": (_quadratic(2.0, 0.5, 0.1), "auto"),
-    "fallback_convex_steep": (_quadratic(1.0, 2.5, 0.5), "auto"),
-    "fallback_concave_shallow": (_quadratic(1.0, 0.5, -0.2), "auto"),
-    "fallback_concave_steep": (_quadratic(1.0, 2.0, -0.5), "auto"),
-    "named_convex_diag": (_quadratic(1.0, 1.0, 0.5), "convex_diag"),
-    "named_concave_step": (_quadratic(1.0, 1.0, -0.375), "concave_step"),
-    "named_convex_plateau_hyperbola": (_hyperbola(1.0, 1.0, 1.0, 1.0), "convex_plateau"),
-    "named_linear_opt_line": (_line(1.0, 3.0), "linear_opt"),
-    "hyperplane_convex_diag": (H12, "convex_diag"),
-    "concave_step_on_convex": (_quadratic(1.0, 1.0, 0.5), "concave_step"),
+    "fallback_convex_shallow": _quadratic(2.0, 0.5, 0.1),
+    "fallback_convex_steep": _quadratic(1.0, 2.5, 0.5),
+    "fallback_concave_shallow": _quadratic(1.0, 0.5, -0.2),
+    "fallback_concave_steep": _quadratic(1.0, 2.0, -0.5),
 }
 
 COMMANDS = {
@@ -155,8 +151,8 @@ def _run(argv, key):
     return {k: text for k, text in records.items() if text}
 
 
-def _write_config(surface, construction="auto"):
-    doc = {"schema": 1, "surface": surface, "grid": [], "construction": construction}
+def _write_config(surface):
+    doc = {"schema": 1, "surface": surface, "grid": []}
     Path("config.json").write_text(json.dumps(doc))
 
 
@@ -180,7 +176,7 @@ def _record_command(label, argv):
 
 def record_case(name):
     """Run one case in the current directory; returns its records, key -> text."""
-    _write_config(*CASES[name])
+    _write_config(CASES[name])
     records = {}
     for label, argv in COMMANDS.items():
         records.update(_record_command(label, argv))
@@ -260,6 +256,10 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     assert list(got) == list(want), f"{name}: the set of recorded outputs changed"
     for key, text in want.items():
         assert got[key] == text, f"{name}: {key} differs from the golden output"
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == sorted(NAMES)
 
 
 def _changes(old, new):

@@ -1,11 +1,12 @@
 """Sampling-based verification and cost bounds.
 
-``check_el`` verifies the defining properties of entropy-like functions on a
-box by deterministic seeded sampling and reports, per property, the worst
-violation and a witness.  ``check_feasible`` samples inner surface points and
-reports the smallest derivative jump ``left - right`` across the surface
-(feasibility needs jump >= 1 in every coordinate).  ``normal_ratio_bound``
-computes the universal lower bound on the cost of any feasible function,
+``check_el`` verifies the defining properties of an entropy-like expression,
+its one-sided derivatives included, on a box by deterministic seeded
+sampling and reports, per property, the worst violation and a witness.
+``check_feasible`` samples inner surface points and reports the smallest
+derivative jump ``left - right`` across the surface (feasibility needs jump
+>= 1 in every coordinate).  ``normal_ratio_bound`` computes the universal
+lower bound on the cost of any feasible function,
 
     sup over surface points of  normal_j(x) / normal_i(x),
 
@@ -20,16 +21,18 @@ Sampling is split into independent substreams derived from the master seed
 properties out over up to one thread per available CPU (numpy releases the
 interpreter lock inside its array loops) and collects them in a fixed
 order, so the report depends on neither the worker count nor the start
-order.  Each property is one block function: it draws its random arrays
-for a block of rows from a generator and returns their row-wise violations
-and a witness for any row.  ``_fold`` runs it on ``_BLOCK`` (16,384) rows
-at a time and keeps the worst row by ``np.argmax``'s rules, so memory stays
-one block long whatever the sample count.  Block 0 draws from the
-property's own generator, so a report of at most ``_BLOCK`` samples is the
-one full-length draws give; block k >= 1 draws from a generator seeded by
-child k of the property's ``SeedSequence``.  So ``_BLOCK`` is part of what
-a report of more samples means.  Blocks can be this small because an
-expression call costs only some tens of microseconds beyond its rows.
+order.  Each of the ten properties is one block function: it draws its
+random arrays for a block of rows from a generator and returns their
+violations and a witness for any of them (a row of the finite-difference
+and limit checks is a point, with one violation per coordinate and side).
+``_fold`` runs it on ``_BLOCK`` (16,384) rows at a time and keeps the worst
+violation by ``np.argmax``'s rules, so memory stays one block long.  Block 0
+draws from the property's own generator, so a report of at most ``_BLOCK``
+samples is the one full-length draws give; block k >= 1 draws from a
+generator seeded by child k of the property's ``SeedSequence``.  So
+``_BLOCK`` is part of what a report of more samples means.  Blocks can be
+this small because an expression call costs only some tens of microseconds
+beyond its rows.
 ``lp_sweep`` builds the grid LPs of an ``m`` sweep on the calling thread,
 then solves them on the same pool, largest ``m`` first, and returns them in
 sweep order.
@@ -42,7 +45,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,20 +94,6 @@ _LIMIT_POINTS = 32
 # Rows per block of a sampled property.
 _BLOCK = 1 << 14
 
-# Substream k of the master seed drives property k, whether or not it runs.
-_PROPERTIES = (
-    "pointed",
-    "monotone",
-    "submodular",
-    "dr_coordinate",
-    "dr_general",
-    "directional_concavity",
-    "left_at_least_right",
-    "derivative_monotone",
-    "fd_agreement",
-    "derivative_limits",
-)
-
 
 @dataclass(frozen=True)
 class PropertyCheck:
@@ -123,7 +112,6 @@ class ELReport:
     samples: int
     seed: int
     box: tuple[float, ...]
-    includes_derivative_checks: bool
 
 
 @dataclass(frozen=True)
@@ -167,78 +155,62 @@ class BoundReport:
     gap_bound_minus_lp: Optional[float]
 
 
-def _value_batch(fn: Union[ELExpr, Callable]) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(fn, ELExpr):
-        return lambda X: np.asarray(eval_at(fn, X), dtype=float)
-    return lambda X: np.array([float(fn(row)) for row in X], dtype=float)
-
-
 def _pt(row) -> tuple[float, ...]:
     return tuple(float(v) for v in np.ravel(row))
 
 
+def _check_box(surface: Surface) -> tuple[float, ...]:
+    """The box a surface's functions are checked on: 1.5 times its intercept box."""
+    return tuple(1.5 * v for v in surface.intercepts())
+
+
 def check_el(
-    fn: Union[ELExpr, Callable],
+    expr: ELExpr,
     box,
     samples: int = DEFAULT_PAIR_SAMPLES,
     seed: int = 0,
 ) -> ELReport:
-    """Verify the entropy-like properties of ``fn`` on ``[0, box]`` by seeded sampling.
+    """Verify the ten entropy-like properties of ``expr`` on ``[0, box]`` by seeded sampling.
 
-    ``fn`` may be an expression node or a plain callable taking one point;
-    the derivative-based checks (left >= right, derivative monotonicity,
-    finite-difference agreement, one-sided derivative limits) run only for
-    expression nodes.  Every property after ``pointed`` is one task with its
-    own generator; the tasks run on up to one thread per available CPU and
-    are reported in the fixed order of ``_PROPERTIES``, so identical seeds
-    give bit-identical reports.  A plain callable must therefore be safe to
-    call from several threads at once.  For a power of two ``lam``,
-    ``lam * f(x / lam)`` on ``lam * box`` gets ``f``'s report, lengths times ``lam``.
+    Property k is row k ``(name, tolerance, rows, block)`` of one table,
+    folded by ``_fold`` from substream k of ``seed``: ``samples`` rows for the
+    sampled properties, one for ``pointed``, and ``_FD_POINTS`` and
+    ``_LIMIT_POINTS`` points for the finite-difference and limit checks.
+    For a power of two ``lam``, ``lam * f(x / lam)`` on ``lam * box`` gets
+    ``f``'s report, lengths times ``lam``.
     """
+    if not isinstance(expr, ELExpr):
+        raise DomainError(f"check_el needs an expression node, got {type(expr).__name__}")
     samples = _integer(samples, 0, "check_el needs a non-negative integer sample count")
     seed = _integer(seed, 0, "check_el needs a non-negative integer seed")
     box_arr = np.asarray(box, dtype=float)
     if box_arr.ndim != 1 or box_arr.size == 0 or not np.all(np.isfinite(box_arr) & (box_arr > 0.0)):
         raise DomainError("box must be a strictly positive finite vector")
-    n = box_arr.size
-    is_expr = isinstance(fn, ELExpr)
-    if is_expr and fn.dim != n:
-        raise DomainError(f"box has dim {n}, expression has dim {fn.dim}")
-    value = _value_batch(fn)
+    if expr.dim != box_arr.size:
+        raise DomainError(f"box has dim {box_arr.size}, expression has dim {expr.dim}")
+    value = partial(eval_at, expr)
     lam = _box_scale(box_arr)
     value_tol = VALUE_TOL * lam
-
-    seeds = np.random.SeedSequence(seed).spawn(len(_PROPERTIES))
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-
-    # pointed: f(0) = 0, exactly (the combinators preserve exact zero).
-    v0 = float(value(np.zeros((1, n)))[0])
-    checks = [PropertyCheck("pointed", v0 == 0.0, abs(v0), 0.0, _pt(np.zeros(n)), 1)]
-
-    sampled = [
-        ("monotone", value_tol, partial(_monotone, value, box_arr)),
-        ("submodular", value_tol, partial(_submodular, value, box_arr)),
-        ("dr_coordinate", value_tol, partial(_diminishing_returns, True, value, box_arr)),
-        ("dr_general", value_tol, partial(_diminishing_returns, False, value, box_arr)),
-        ("directional_concavity", value_tol, partial(_directional_concavity, value, box_arr)),
-    ]
-    listed = []
-    if is_expr:
-        sampled += [
-            ("left_at_least_right", DERIV_TOL, partial(_left_at_least_right, fn, box_arr)),
-            ("derivative_monotone", DERIV_TOL, partial(_derivative_monotone, fn, box_arr)),
-        ]
-        listed = [partial(_fd_check, fn, box_arr, lam), partial(_limit_check, fn, box_arr, lam)]
-    tasks = [partial(_fold, name, tol, samples, block) for name, tol, block in sampled] + listed
-    checks += _run_tasks([partial(task, gen) for task, gen in zip(tasks, gens[1:])])
-
+    table = (
+        ("pointed", 0.0, 1, partial(_pointed, value, box_arr)),
+        ("monotone", value_tol, samples, partial(_monotone, value, box_arr)),
+        ("submodular", value_tol, samples, partial(_submodular, value, box_arr)),
+        ("dr_coordinate", value_tol, samples, partial(_diminishing_returns, True, value, box_arr)),
+        ("dr_general", value_tol, samples, partial(_diminishing_returns, False, value, box_arr)),
+        ("directional_concavity", value_tol, samples, partial(_directional_concavity, value, box_arr)),
+        ("left_at_least_right", DERIV_TOL, samples, partial(_left_at_least_right, expr, box_arr)),
+        ("derivative_monotone", DERIV_TOL, samples, partial(_derivative_monotone, expr, box_arr)),
+        ("fd_agreement", FD_REL_TOL, _FD_POINTS, partial(_fd_agreement, expr, box_arr, lam)),
+        ("derivative_limits", LIMIT_TOL, _LIMIT_POINTS, partial(_derivative_limits, expr, box_arr, lam)),
+    )
+    seeds = np.random.SeedSequence(seed).spawn(len(table))
+    checks = _run_tasks([partial(_fold, *entry, np.random.default_rng(s)) for entry, s in zip(table, seeds)])
     return ELReport(
         passed=all(c.passed for c in checks),
         properties=tuple(checks),
         samples=samples,
         seed=seed,
         box=tuple(float(v) for v in box_arr),
-        includes_derivative_checks=is_expr,
     )
 
 
@@ -285,7 +257,7 @@ def _fold(name, tol, count, block, gen) -> PropertyCheck:
     """The worst of ``count`` row-wise violations, one block of rows at a time.
 
     ``block(gen, rows)`` draws ``rows`` rows from the generator it is handed
-    and returns their violations and a map from a row of the block to its
+    and returns their violations and a map from an index of those to its
     witness.  Block 0 draws from the property's own ``gen``, block k >= 1
     from a generator seeded by child k of its ``SeedSequence``.  Blocks fold
     by ``np.argmax``'s rules, so the check equals one ``np.argmax`` over all
@@ -304,15 +276,6 @@ def _fold(name, tol, count, block, gen) -> PropertyCheck:
     return PropertyCheck(name, worst <= tol, worst, tol, found, count)
 
 
-def _listed(name, tol, viols, witnesses) -> PropertyCheck:
-    """The worst of violations already listed with their witnesses, picked as ``_fold`` picks."""
-    if not viols:
-        return PropertyCheck(name, True, 0.0, tol, None, 0)
-    i = int(np.argmax(viols))
-    worst = float(viols[i])
-    return PropertyCheck(name, worst <= tol, worst, tol, witnesses[i], len(viols))
-
-
 def _points(box_arr, gen, rows):
     """``rows`` points uniform on the box, bit for bit ``gen.uniform(0.0, box_arr, (rows, n))``."""
     return gen.random((rows, box_arr.size)) * box_arr
@@ -327,6 +290,12 @@ def _ordered_pair(box_arr, gen, rows):
 def _above(box_arr, x, u):
     """The point the fractions ``u`` of the way from ``x`` to the box's far corner."""
     return x + (box_arr - x) * u
+
+
+def _pointed(value, box_arr, gen, rows):
+    """f(0) = 0, exactly (the combinators preserve exact zero)."""
+    origin = np.zeros((rows, box_arr.size))
+    return np.abs(value(origin)), lambda i: _pt(origin[i])
 
 
 def _monotone(value, box_arr, gen, rows):
@@ -398,7 +367,13 @@ def _derivative_monotone(expr: ELExpr, box_arr, gen, rows):
     return _row_max(diff), lambda i: (_pt(x[i]), _pt(y[i]), int(np.argmax(diff[i])))
 
 
-def _fd_check(expr: ELExpr, box_arr, lam, gen) -> PropertyCheck:
+def _by_coordinate_side(P, columns):
+    """The violations of ``columns``, keyed by (coordinate, side), flattened, and a flat index's witness."""
+    keys = list(columns)
+    return np.concatenate(list(columns.values())), lambda k: (_pt(P[k % len(P)]), *keys[k // len(P)])
+
+
+def _fd_agreement(expr: ELExpr, box_arr, lam, gen, rows):
     """One-sided difference quotients against the exact rules.
 
     Quotients are only meaningful when the step does not straddle a branch
@@ -408,16 +383,15 @@ def _fd_check(expr: ELExpr, box_arr, lam, gen) -> PropertyCheck:
     of magnitude above).  On a smooth step the quotient is compared with the
     mean of those two end derivatives (the trapezoid rule): its error is of
     order h**2 |f'''|, where either end alone leaves h |f''| / 2, so strong
-    curvature is not mistaken for a wrong derivative rule.
+    curvature is not mistaken for a wrong derivative rule.  A step that is
+    not smooth, or a left step that would leave the orthant, reads -inf.
     """
-    n = box_arr.size
-    P = _points(box_arr, gen, _FD_POINTS)
+    P = _points(box_arr, gen, rows)
     h = 1e-7 * np.maximum(lam, np.max(np.abs(P), axis=1))
     base = eval_at(expr, P)
     grad = one_sided_partials(expr, P)
-    viols = []
-    witnesses = []
-    for i in range(n):
+    columns = {}
+    for i in range(box_arr.size):
         # the derivative on this side at P against the other side's at the step's end
         for side, far, sign in (("right", "left", 1.0), ("left", "right", -1.0)):
             Q = P.copy()
@@ -430,52 +404,39 @@ def _fd_check(expr: ELExpr, box_arr, lam, gen) -> PropertyCheck:
             scale = np.maximum(1.0, np.abs(d_near))
             smooth = usable & (np.abs(d_end - d_near) <= 1e-4 * scale)
             rel = np.abs(q - 0.5 * (d_near + d_end)) / scale
-            for row in np.nonzero(smooth)[0]:
-                viols.append(rel[row])
-                witnesses.append((_pt(P[row]), i, side))
-    return _listed("fd_agreement", FD_REL_TOL, viols, witnesses)
+            columns[i, side] = np.where(smooth, rel, -np.inf)
+    return _by_coordinate_side(P, columns)
 
 
-def _ladder_limit(seq: np.ndarray) -> np.ndarray:
-    # Linear extrapolation to eps = 0 from the last two rungs, eps and 10 eps.
-    return seq[-1] + (seq[-1] - seq[-2]) / 9.0
-
-
-def _limit_check(expr: ELExpr, box_arr, lam, gen) -> PropertyCheck:
+def _derivative_limits(expr: ELExpr, box_arr, lam, gen, rows):
     """One-sided derivatives are limits of nearby right derivatives.
 
     Walking in from the right, ``f_i^+(x + eps e_i)`` increases monotonically
     to ``f_i^+(x)`` as ``eps`` shrinks; walking in from the left,
     ``f_i^+(x - eps e_i)`` decreases monotonically to ``f_i^-(x)``.  Both are
     checked over a geometric ``eps`` ladder in units of the box's scale
-    ``lam``: monotonicity rung by rung, and the limit against its extrapolation.
+    ``lam``: monotonicity rung by rung, and the limit against its
+    extrapolation.  A left ladder without room for its largest rung reads -inf.
     """
-    n = box_arr.size
-    P = _points(box_arr, gen, _LIMIT_POINTS)
+    P = _points(box_arr, gen, rows)
     grad = one_sided_partials(expr, P)
-    viols = []
-    witnesses = []
-    for i in range(n):
+    columns = {}
+    for i in range(box_arr.size):
         for side, sign in (("right", 1.0), ("left", -1.0)):
-            # a left ladder needs room for its largest rung
-            usable = P[:, i] > LIMIT_EPS[0] * lam if sign < 0 else np.full(len(P), True)
+            usable = P[:, i] > LIMIT_EPS[0] * lam if sign < 0 else np.full(rows, True)
+            columns[i, side] = v = np.full(rows, -np.inf)
             if not np.any(usable):
                 continue
-            R = P[usable]
-            seq = []
-            for eps in LIMIT_EPS:
-                Q = R.copy()
-                Q[:, i] += sign * eps * lam
-                seq.append(one_sided_partials(expr, Q).right[:, i])
-            seq = np.stack(seq)  # ladder index grows as eps shrinks
+            along = np.where(np.arange(box_arr.size) == i, sign * lam, 0.0)
+            # ladder index grows as eps shrinks
+            seq = np.stack([one_sided_partials(expr, P[usable] + eps * along).right[:, i] for eps in LIMIT_EPS])
             # rising toward f_i^+ from the right, falling toward f_i^- from the left
             lower, upper = (seq[:-1], seq[1:]) if sign > 0 else (seq[1:], seq[:-1])
             mono = np.max(lower - upper, axis=0)
-            conv = np.abs(_ladder_limit(seq) - getattr(grad, side)[usable, i])
-            for k, row in enumerate(np.nonzero(usable)[0]):
-                viols.append(max(float(mono[k]), float(conv[k])))
-                witnesses.append((_pt(P[row]), i, side))
-    return _listed("derivative_limits", LIMIT_TOL, viols, witnesses)
+            # the limit, extrapolated linearly to eps = 0 from the last two rungs, eps and 10 eps
+            conv = np.abs(seq[-1] + (seq[-1] - seq[-2]) / 9.0 - getattr(grad, side)[usable, i])
+            v[usable] = np.where(conv > mono, conv, mono)  # max(mono, conv): a NaN mono stays
+    return _by_coordinate_side(P, columns)
 
 
 def _sample_curve_inner(curve: Curve2D, samples: int, gen, frac: float) -> np.ndarray:

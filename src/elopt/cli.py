@@ -54,6 +54,7 @@ import numpy as np
 from .analysis import (
     DEFAULT_PAIR_SAMPLES,
     DEFAULT_SURFACE_SAMPLES,
+    _check_box,
     check_el,
     check_feasible,
     gap_report,
@@ -136,10 +137,6 @@ def _emit(job: _Job, obj, text_lines: list[str]) -> None:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _box(surface: Surface) -> tuple[float, ...]:
-    return tuple(1.5 * v for v in surface.intercepts())
-
-
 def _build_constructions(job: _Job) -> list[ConstructionResult]:
     """The default optimum; a convex curve with a seam point adds ``convex_diag``."""
     results = [construct(job.surface)]
@@ -214,7 +211,7 @@ def _load_expr(job: _Job, expr_path: Optional[str]) -> ELExpr:
 
 def _cmd_check(job: _Job, args) -> int:
     expr = _load_expr(job, args.expr)
-    el = check_el(expr, _box(job.surface), samples=job.samples, seed=job.seed)
+    el = check_el(expr, _check_box(job.surface), samples=job.samples, seed=job.seed)
     feas = check_feasible(expr, job.surface, samples=job.surface_samples, seed=job.seed)
     lines = [f"el_suite: {'pass' if el.passed else 'FAIL'}"]
     for prop in el.properties:

@@ -81,10 +81,9 @@ def _finish(expr: ELExpr, claimed: float, scale_k: float, kind: str) -> Construc
 
 def _verify_fallback(expr: ELExpr, curve: Curve2D, kind: str) -> None:
     # Imported here to avoid a module cycle: analysis consumes constructions.
-    from .analysis import check_el, check_feasible
+    from .analysis import _check_box, check_el, check_feasible
 
-    box = tuple(1.5 * v for v in curve.intercepts())
-    el = check_el(expr, box, samples=_FALLBACK_EL_SAMPLES, seed=_FALLBACK_SEED)
+    el = check_el(expr, _check_box(curve), samples=_FALLBACK_EL_SAMPLES, seed=_FALLBACK_SEED)
     if not el.passed:
         failed = ", ".join(p.name for p in el.properties if not p.passed)
         raise ConstructionError(f"{kind}: endpoint-seam fallback fails the property suite ({failed})")

@@ -20,7 +20,8 @@ forms (a curve's slope window is its ``slope_range``) and never raises for
 a mathematical violation -- it returns the list of violated clauses
 instead.  A curve's ``shape`` (linear, strictly convex or strictly concave)
 is worked out from its parameters.  Malformed input (``a <= 0``,
-non-finite numbers) raises ``ValueError`` at construction time.
+non-finite numbers, a hyperbola whose closed forms overflow) raises
+``ValueError`` at construction time.
 
 Only analytic families are provided: the constructions consume ``alpha'``
 pointwise and the seam ``alpha' = -1`` in closed form, so a sampled or
@@ -362,7 +363,8 @@ class HyperbolaCurve(Curve2D):
 
     Always strictly convex.  The parameters must also satisfy
     ``alpha(0) = b``, which forces ``t = s * b / a``; ``validate`` reports a
-    violated intercept otherwise.
+    violated intercept otherwise.  Parameters whose ``kappa`` or ``(a + s)**2``
+    overflows raise ``ValueError``.
     """
 
     a: float
@@ -377,7 +379,12 @@ class HyperbolaCurve(Curve2D):
         object.__setattr__(self, "s", _require_positive("s", self.s))
         object.__setattr__(self, "t", _require_positive("t", self.t))
         self._init_common()
-        object.__setattr__(self, "kappa", self.t * (self.a + self.s))
+        reach = self.a + self.s  # alpha' squares x + s, which reaches a + s on the curve
+        kappa = self.t * reach
+        for name, value in (("kappa", kappa), ("(a+s)²", reach * reach)):
+            if not math.isfinite(value):
+                raise ValueError(f"hyperbola parameters overflow: {name} is not finite")
+        object.__setattr__(self, "kappa", kappa)
 
     def _alpha_raw(self, x):
         return self.kappa / (np.asarray(x, dtype=float) + self.s) - self.t

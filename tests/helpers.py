@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from elopt import ConcaveStep, ConvexDiag, ConvexPlateau, HyperbolaCurve, eval_at, one_sided_partials
+from elopt import ConcaveStep, ConvexDiag, ConvexPlateau, ELExpr, HyperbolaCurve, eval_at, one_sided_partials
 
 # Worked quadratic arcs used throughout: unit intercepts with curvature +-0.5.
 QC_PARAMS = dict(a=1.0, b=1.0, c2=0.5)       # alpha = 1 - 1.5 x + 0.5 x^2
@@ -89,6 +89,32 @@ def concave_linear_tail_reference(curve, X):
     over = x - curve.a
     alpha_lin = np.where(over <= 0.0, curve.alpha(np.minimum(x, curve.a)), curve.alpha_prime(curve.a) * over)
     return x + np.minimum(y, alpha_lin)
+
+
+@dataclasses.dataclass(frozen=True)
+class Bilinear(ELExpr):
+    """``lam * g(x / lam)`` with ``g(u) = b (u1 + u2) + k u1 u2`` on the plane, with exact partials.
+
+    Its partials ``b + k u2`` and ``b + k u1`` rise with the other coordinate,
+    so for ``k > 0`` it is supermodular: no entropy-like function.  The
+    product ``x y`` is ``k = 1, b = 0``, bit for bit.
+    """
+
+    k: float = 1.0
+    b: float = 0.0
+    lam: float = 1.0
+    dim = 2
+
+    def _values(self, X):
+        u1, u2 = X[:, 0] / self.lam, X[:, 1] / self.lam
+        return self.lam * (self.b * (u1 + u2) + self.k * u1 * u2)
+
+    def _partials(self, X):
+        grad = self.b + self.k * (X[:, ::-1] / self.lam)
+        return grad, grad
+
+    def _sup(self):
+        return math.inf
 
 
 def hyperbola_through(a, b, s):

@@ -25,7 +25,7 @@ from elopt import (
     restriction_check,
     solve_lp,
 )
-from helpers import fd_one_sided, property_check
+from helpers import Bilinear, fd_one_sided, property_check
 
 QC = QuadraticCurve(a=1.0, b=1.0, c2=0.5)
 QCC = QuadraticCurve(a=1.0, b=1.0, c2=-0.5)
@@ -175,7 +175,7 @@ def test_criterion_5_lp_soundness():
 
 
 def test_criterion_6_falsifiability():
-    rep = check_el(lambda p: p[0] * p[1], (2.0, 2.0), samples=2000, seed=6)
+    rep = check_el(Bilinear(), (2.0, 2.0), samples=2000, seed=6)
     sub = property_check(rep, "submodular")
     product_fails = (not sub.passed) and sub.witness is not None
     half = Scale(0.5, linear_opt(H12).expr)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from elopt import (
     ConcaveStep,
     ConvexPlateau,
     DomainError,
-    ELExpr,
     Hyperplane,
     Linear,
     QuadraticCurve,
@@ -30,7 +30,7 @@ from elopt import (
     one_sided_partials,
 )
 from elopt.lp_oracle import build_lp, solve_lp
-from helpers import hyperbola_through, property_check, sup_ratio_sampled
+from helpers import Bilinear, hyperbola_through, property_check, sup_ratio_sampled
 
 PROPERTY_ORDER = (
     "pointed",
@@ -49,8 +49,7 @@ PROPERTY_ORDER = (
 def test_truncated_linear_passes_the_suite():
     rep = check_el(TruncateMin(1.0, Linear((1.0, 2.0))), (2.0, 2.0), samples=10_000, seed=0)
     assert rep.passed
-    assert rep.includes_derivative_checks
-    assert {p.name for p in rep.properties} == set(PROPERTY_ORDER)
+    assert tuple(p.name for p in rep.properties) == PROPERTY_ORDER
 
 
 def _bits(a) -> bytes:
@@ -144,9 +143,12 @@ def test_zero_function_passes():
 
 
 def test_product_function_fails_submodularity_with_witness():
-    rep = check_el(lambda p: p[0] * p[1], (2.0, 2.0), samples=2000, seed=3)
+    rep = check_el(Bilinear(), (2.0, 2.0), samples=2000, seed=3)
     assert not rep.passed
-    assert not rep.includes_derivative_checks
+    # its partials rise with the other coordinate, which the derivative checks see too
+    assert {p.name for p in rep.properties if not p.passed} == {
+        "submodular", "dr_general", "directional_concavity", "derivative_monotone"
+    }
     sub = property_check(rep, "submodular")
     assert not sub.passed
     assert sub.worst_violation > sub.tolerance
@@ -176,7 +178,7 @@ def test_reports_do_not_depend_on_the_start_order(qc, monkeypatch):
     # properties in other threads and in another order, and the reports
     # stay the same.
     monkeypatch.setattr(analysis, "_available_cpus", lambda: 2)
-    cases = [(ConvexPlateau(qc), (1.5, 1.5)), (lambda p: p[0] * p[1], (1.2, 1.2)), (_Rising(qc), (1.2, 1.2))]
+    cases = [(ConvexPlateau(qc), (1.5, 1.5)), (Bilinear(), (1.2, 1.2)), (_Rising(qc), (1.2, 1.2))]
 
     def reports():
         return [repr(check_el(fn, box, samples=3000, seed=5)) for fn, box in cases]
@@ -193,8 +195,8 @@ def test_reports_do_not_depend_on_the_start_order(qc, monkeypatch):
 
     monkeypatch.setattr(analysis, "_run_tasks", run_reversed)
     assert reports() == in_order
-    # task indices follow the properties after "pointed"
-    assert started[:2] == [[8, 7, 6, 5, 4, 3, 2, 1, 0], [4, 3, 2, 1, 0]]
+    # one task per property, in property order
+    assert started == [list(range(len(PROPERTY_ORDER)))[::-1]] * len(cases)
 
 
 def test_feasibility_of_the_linear_optimum(h12):
@@ -354,6 +356,10 @@ def test_gap_report_rejects_lp_for_higher_dimensions():
 
 
 def test_check_el_input_validation(qc):
+    # only an expression node has the one-sided partials the suite checks
+    for fn in (lambda p: p[0] * p[1], np.prod, None):
+        with pytest.raises(DomainError, match="needs an expression node"):
+            check_el(fn, (1.0, 1.0), samples=10, seed=0)
     with pytest.raises(DomainError):
         check_el(ConvexPlateau(qc), (1.0, 1.0, 1.0), samples=10, seed=0)
     for box in ((1.0, -1.0), (np.inf, 1.0), (1.0, np.nan)):
@@ -417,7 +423,7 @@ def test_reports_do_not_depend_on_the_block_size(qc, monkeypatch):
     # depend on the block size; which properties fail must not.
     cases = [
         (ConvexPlateau(qc), ()),
-        (lambda p: p[0] * p[1], ("submodular", "dr_general", "directional_concavity")),
+        (Bilinear(), ("submodular", "dr_general", "directional_concavity", "derivative_monotone")),
         (_lying(1.5)(qc), ("fd_agreement",)),
         (_lying(1.0 + 1e-5)(qc), ("fd_agreement",)),
         (_Rising(qc), ("left_at_least_right", "derivative_monotone")),
@@ -445,10 +451,7 @@ def _reference(name, fn, box, samples, seed, block):
     """
     i = PROPERTY_ORDER.index(name)
     box = np.asarray(box)
-
-    def value(X):
-        return eval_at(fn, X) if isinstance(fn, ELExpr) else np.array([float(fn(row)) for row in X])
-
+    value = partial(eval_at, fn)
     viols, witnesses = [], []
     for k, lo in enumerate(range(0, samples, block)):
         gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, k) if k else (i,)))
@@ -487,7 +490,7 @@ def test_planted_supermodular_function_fails_at_a_small_scale():
     # at every scale; at lam = 2^-20 its worst violation, 4.1e-8, passed an
     # absolute tolerance of 1e-7.  Measured in the box's scale it fails as g does.
     def planted(lam):
-        return lambda p: lam * (p[0] / lam + p[1] / lam + 0.05 * (p[0] / lam) * (p[1] / lam))
+        return Bilinear(k=0.05, b=1.0, lam=lam)
 
     lam = 2.0**-20
     unit = property_check(check_el(planted(1.0), (1.0, 1.0)), "submodular")
@@ -504,7 +507,7 @@ def test_block_size_never_changes_a_report(qc, monkeypatch):
     cases = {
         "plateau": (ConvexPlateau(qc), (1.2, 1.2)),
         "rising": (_Rising(qc), (1.2, 1.2)),
-        "product": (lambda p: p[0] * p[1], (1.2, 1.2)),
+        "product": (Bilinear(), (1.2, 1.2)),
         "3-D linear": (Scale(0.8, TruncateMin(2.5, Linear((0.7, 1.3, 2.1)))), (1.1, 0.9, 1.3)),
     }
     seen = set()
@@ -521,9 +524,7 @@ def test_block_size_never_changes_a_report(qc, monkeypatch):
         fn, box = cases[case]
         monkeypatch.setattr(analysis, "_BLOCK", block)
         rep = check_el(fn, box, samples=samples, seed=seed)
-        names = ["monotone", "submodular", "directional_concavity"]
-        names += ["left_at_least_right"] if rep.includes_derivative_checks else []
-        for name in names:
+        for name in ("monotone", "submodular", "directional_concavity", "left_at_least_right"):
             want = _reference(name, fn, box, samples, seed, block)
             assert property_check(rep, name) == want and repr(property_check(rep, name)) == repr(want)
 

@@ -146,6 +146,17 @@ def test_large_hyperbola_has_a_seam(tmp_path):
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 0
 
 
+def test_overflowing_hyperbola_exits_2(tmp_path, capsys):
+    # the unit hyperbola times 2^511: alpha' would square a + s = 2^512
+    lam = 2.0**511
+    surface = {"kind": "curve", "family": "hyperbola", "a": lam, "b": lam, "params": {"s": lam, "t": lam}}
+    cfg = write_config(tmp_path, surface)
+    assert main(["--config", cfg, "validate"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: malformed surface document: hyperbola parameters overflow: (a+s)² is not finite\n"
+    )
+
+
 def test_large_quadratic_box_passes_check(tmp_path, capsys):
     # The seam ties are measured in the box's scale; an absolute 1e-12 falls
     # below one ulp there, and feasibility read a jump of 0.0.  The golden

@@ -1,13 +1,21 @@
-"""Dilation by a power of two: every result at ``2^k S`` is the ``S`` result, lengths times ``2^k``.
+"""Metamorphic relations: results of related surfaces, related by theorem, with no reference values.
 
-If ``f`` is entropy-like and feasible for ``S``, then ``lam * f(x / lam)`` is
-too, for ``lam S``, at the same cost.  For ``lam = 2^k`` floats follow
-exactly: the surfaces below are written so that every parameter dilates
-exactly, every tolerance and step is measured in the box's power-of-two
-scale, and so the bound, the construction, ``check_el``, ``check_feasible``
-and the grid LP at ``2^k`` equal their ``k = 0`` results bit for bit, with
-every length times ``2^k``.  Any floating-point overflow or underflow fails
-the module.
+Dilation by a power of two: every result at ``2^k S`` is the ``S`` result,
+lengths times ``2^k``.  If ``f`` is entropy-like and feasible for ``S``, then
+``lam * f(x / lam)`` is too, for ``lam S``, at the same cost.  For
+``lam = 2^k`` floats follow exactly: the surfaces below are written so that
+every parameter dilates exactly, every tolerance and step is measured in the
+box's power-of-two scale, and so the bound, the construction, ``check_el``,
+``check_feasible`` and the grid LP at ``2^k`` equal their ``k = 0`` results
+bit for bit, with every length times ``2^k``.
+
+Coordinate swap: ``f(y, x)`` is feasible for the mirrored surface at the
+same cost, so the ratio bound, the claimed cost and the grid LP agree up to
+rounding.  Grid refinement: a grid of ``j m`` nodes per axis contains the
+grid of ``m``, and restricting a fine LP optimum to the coarse nodes gives a
+coarse feasible point of no larger objective, so ``LP(j m) >= LP(m)``.
+
+Any floating-point overflow or underflow fails the module.
 """
 
 import dataclasses
@@ -28,6 +36,7 @@ from elopt import (
     normal_ratio_bound,
 )
 from elopt import analysis
+from elopt.analysis import lp_sweep
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -123,3 +132,62 @@ def test_results_dilate_exactly(family):
         assert report.lp_values == unit_report.lp_values, k
         assert report.ratio_bound == unit_report.ratio_bound
         assert report.construction_total == lam * unit_report.construction_total
+
+
+def _swapped(surface):
+    """``surface`` mirrored in the diagonal: the coordinates swapped."""
+    if isinstance(surface, Hyperplane):
+        return Hyperplane(c=surface.c[::-1], M=surface.M)
+    if isinstance(surface, HyperbolaCurve):
+        return HyperbolaCurve(a=surface.b, b=surface.a, s=surface.t, t=surface.s)
+    return LineCurve(a=surface.b, b=surface.a)
+
+
+def _swap_cases():
+    rng = np.random.default_rng(20261020)
+    cases = {}
+    for k in range(3):
+        a, b = rng.uniform(0.5, 2.0, 2)
+        s = a * 10.0 ** rng.uniform(-1.0, 1.0)
+        cases[f"hyperbola-{k}"] = HyperbolaCurve(a=a, b=b, s=s, t=s * b / a)
+        cases[f"line-{k}"] = LineCurve(a=a, b=b)
+        cases[f"plane-{k}"] = Hyperplane(c=tuple(rng.uniform(0.2, 5.0, 2)), M=float(rng.uniform(0.5, 2.0)))
+    return cases
+
+
+SWAPPED = _swap_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SWAPPED))
+def test_results_survive_a_coordinate_swap(name):
+    surface = SWAPPED[name]
+    mirror = _swapped(surface)
+    assert surface.validate().valid and mirror.validate().valid
+    for got, want in (
+        (normal_ratio_bound(mirror).value, normal_ratio_bound(surface).value),
+        (construct(mirror).claimed_cost, construct(surface).claimed_cost),
+    ):
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+    for (lp, got), (_, want) in zip(lp_sweep(mirror, (8, 16, 24)), lp_sweep(surface, (8, 16, 24))):
+        assert abs(got.value - want.value) <= 1e-12 * abs(want.value), (lp.m, got.value, want.value)
+
+
+REFINED = {
+    "convex arc": QuadraticCurve(a=1.0, b=1.0, c2=0.5),
+    "concave arc": QuadraticCurve(a=1.0, b=1.0, c2=-0.5),
+    "H(1,2)": Hyperplane(c=(1.0, 2.0), M=1.0),
+    "hyperbola": HyperbolaCurve(a=2.0, b=1.0, s=0.5, t=0.25),
+    # LP(m) is not monotone in m: this one falls 1.4661 -> 1.3746 from m = 12 to 15
+    "no-seam quadratic": _surface("convex_endpoint", 0),
+    "line": _surface("line", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINED))
+def test_a_refined_grid_bounds_no_lower(name):
+    coarse, factors = (6, 8, 12), (2, 3)
+    ms = sorted({j * m for m in coarse for j in (1, *factors)})
+    value = {lp.m: sol.value for lp, sol in lp_sweep(REFINED[name], ms)}
+    for m in coarse:
+        for j in factors:
+            assert value[j * m] >= value[m] - 1e-9, (m, j, value[j * m], value[m])

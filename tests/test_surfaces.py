@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,29 @@ def test_validate_flags_inconsistent_hyperbola_parameters():
     assert not report.valid
     assert any("y-intercept" in v for v in report.violations)
     assert hyperbola_through(1.0, 2.0, 1.0).validate().valid
+
+
+@pytest.mark.filterwarnings("error")
+def test_hyperbola_closed_forms_must_not_overflow():
+    # The unit hyperbola times 2^k.  At k = 511, alpha' squared x + s into
+    # inf, and the curve validated as not strictly decreasing; at k = 512
+    # kappa overflows too.
+    unit = HyperbolaCurve(a=1.0, b=1.0, s=1.0, t=1.0)
+    for k, quantity in ((511, "(a+s)²"), (512, "kappa")):
+        lam = 2.0**k
+        with pytest.raises(ValueError, match=f"^hyperbola parameters overflow: {re.escape(quantity)} is not finite$"):
+            HyperbolaCurve(a=lam, b=lam, s=lam, t=lam)
+        doc = {"kind": "curve", "family": "hyperbola", "a": lam, "b": lam, "params": {"s": lam, "t": lam}}
+        with pytest.raises(ConfigError, match=re.escape(quantity)):
+            surface_from_dict(doc)
+    # below the limit the dilated curve keeps every bit
+    for k in (-30, 345, 500):
+        lam = 2.0**k
+        curve = HyperbolaCurve(a=lam, b=lam, s=lam, t=lam)
+        assert curve.kappa == lam * lam * unit.kappa
+        assert curve.validate() == unit.validate()
+        xs = np.linspace(0.0, 1.0, 9)
+        assert curve.alpha_prime(lam * xs).tobytes() == unit.alpha_prime(xs).tobytes()
 
 
 def test_endpoint_test_is_measured_in_the_box_scale():

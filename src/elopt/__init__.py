@@ -4,130 +4,19 @@ Expression trees with exact one-sided partial derivatives, separating
 surfaces, feasibility and property verification, normal-ratio cost bounds,
 optimal constructions for linear/convex/concave surfaces, and an independent
 grid-LP lower bound.  See the README for the CLI.
+
+Each library module's ``__all__`` is its public API; the package re-exports
+those lists and nothing else.
 """
 
-from .analysis import (
-    BoundReport,
-    ELReport,
-    FeasibilityReport,
-    PropertyCheck,
-    RatioBound,
-    check_el,
-    check_feasible,
-    gap_report,
-    normal_ratio_bound,
-)
-from .constructions import (
-    ConstructionResult,
-    concave_construct,
-    construct,
-    convex_diag,
-    convex_plateau,
-    linear_opt,
-    linear_opt_curve,
-)
-from .errors import (
-    ConfigError,
-    ConstructionError,
-    DomainError,
-    EloptError,
-    ShapeError,
-    SolverError,
-)
-from .exprs import (
-    Clamp,
-    ConcaveStep,
-    ConvexDiag,
-    ConvexPlateau,
-    ELExpr,
-    Linear,
-    OneSidedGrad,
-    Scale,
-    Sum,
-    TruncateMin,
-    cost,
-    cost_total,
-    eval_at,
-    one_sided_partials,
-)
-from .lp_oracle import (
-    GridLP,
-    LPSolution,
-    RestrictionReport,
-    build_lp,
-    dump_lp,
-    grid_points,
-    restriction_check,
-    solve_lp,
-)
-from .surfaces import (
-    SHAPE_CONCAVE,
-    SHAPE_CONVEX,
-    SHAPE_LINEAR,
-    Curve2D,
-    Hyperplane,
-    HyperbolaCurve,
-    LineCurve,
-    QuadraticCurve,
-    SurfaceValidationReport,
-    TPoint,
-)
+from . import analysis, constructions, errors, exprs, lp_oracle, surfaces
+from .analysis import *
+from .constructions import *
+from .errors import *
+from .exprs import *
+from .lp_oracle import *
+from .surfaces import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ELReport",
-    "FeasibilityReport",
-    "PropertyCheck",
-    "RatioBound",
-    "check_el",
-    "check_feasible",
-    "gap_report",
-    "normal_ratio_bound",
-    "ConstructionResult",
-    "concave_construct",
-    "construct",
-    "convex_diag",
-    "convex_plateau",
-    "linear_opt",
-    "linear_opt_curve",
-    "ConfigError",
-    "ConstructionError",
-    "DomainError",
-    "EloptError",
-    "ShapeError",
-    "SolverError",
-    "Clamp",
-    "ConcaveStep",
-    "ConvexDiag",
-    "ConvexPlateau",
-    "ELExpr",
-    "Linear",
-    "OneSidedGrad",
-    "Scale",
-    "Sum",
-    "TruncateMin",
-    "cost",
-    "cost_total",
-    "eval_at",
-    "one_sided_partials",
-    "GridLP",
-    "LPSolution",
-    "RestrictionReport",
-    "build_lp",
-    "dump_lp",
-    "grid_points",
-    "restriction_check",
-    "solve_lp",
-    "SHAPE_CONCAVE",
-    "SHAPE_CONVEX",
-    "SHAPE_LINEAR",
-    "Curve2D",
-    "Hyperplane",
-    "HyperbolaCurve",
-    "LineCurve",
-    "QuadraticCurve",
-    "SurfaceValidationReport",
-    "TPoint",
-]
+__all__ = [name for module in (analysis, constructions, errors, exprs, lp_oracle, surfaces) for name in module.__all__]

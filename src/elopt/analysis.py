@@ -65,9 +65,6 @@ __all__ = [
     "check_feasible",
     "normal_ratio_bound",
     "gap_report",
-    "lp_sweep",
-    "DEFAULT_PAIR_SAMPLES",
-    "DEFAULT_SURFACE_SAMPLES",
 ]
 
 DEFAULT_PAIR_SAMPLES = 10_000
@@ -377,10 +374,13 @@ def _fd_agreement(expr: ELExpr, box_arr, lam, gen, rows):
     """One-sided difference quotients against the exact rules.
 
     Quotients are only meaningful when the step does not straddle a branch
-    boundary; a segment is accepted as smooth when the exact one-sided
-    derivatives at its two ends agree to 1e-4 (curvature over a 1e-7 step is
-    orders of magnitude below that, kinks of the built-in nodes are orders
-    of magnitude above).  On a smooth step the quotient is compared with the
+    boundary; a segment is accepted as smooth when the step's own side's
+    derivatives at its two ends (right for a right step, left for a left
+    step) agree to 1e-4 (curvature over a 1e-7 step is orders of magnitude
+    below that, kinks of the built-in nodes are orders of magnitude above).
+    Reading the other side's derivative at the far end would reject every
+    step of a node whose left and right partials differ everywhere, and
+    compare nothing.  On a smooth step the quotient is compared with the
     mean of those two end derivatives (the trapezoid rule): its error is of
     order h**2 |f'''|, where either end alone leaves h |f''| / 2, so strong
     curvature is not mistaken for a wrong derivative rule.  A step that is
@@ -392,15 +392,15 @@ def _fd_agreement(expr: ELExpr, box_arr, lam, gen, rows):
     grad = one_sided_partials(expr, P)
     columns = {}
     for i in range(box_arr.size):
-        # the derivative on this side at P against the other side's at the step's end
-        for side, far, sign in (("right", "left", 1.0), ("left", "right", -1.0)):
+        # a right step reads right derivatives at both ends, a left step left ones
+        for side, sign in (("right", 1.0), ("left", -1.0)):
             Q = P.copy()
             Q[:, i] += sign * h
             usable = Q[:, i] >= 0.0  # a left step must stay in the orthant
             Q[~usable] = P[~usable]
             q = sign * (eval_at(expr, Q) - base) / h
             d_near = getattr(grad, side)[:, i]
-            d_end = getattr(one_sided_partials(expr, Q), far)[:, i]
+            d_end = getattr(one_sided_partials(expr, Q), side)[:, i]
             scale = np.maximum(1.0, np.abs(d_near))
             smooth = usable & (np.abs(d_end - d_near) <= 1e-4 * scale)
             rel = np.abs(q - 0.5 * (d_near + d_end)) / scale

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+__all__ = ["EloptError", "DomainError", "ShapeError", "ConstructionError", "SolverError", "ConfigError"]
+
 
 class EloptError(Exception):
     """Base class for every error raised by elopt."""

@@ -53,7 +53,6 @@ __all__ = [
     "HyperbolaCurve",
     "TPoint",
     "SurfaceValidationReport",
-    "Surface",
 ]
 
 SHAPE_LINEAR = "linear"

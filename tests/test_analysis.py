@@ -426,7 +426,7 @@ def test_reports_do_not_depend_on_the_block_size(qc, monkeypatch):
         (Bilinear(), ("submodular", "dr_general", "directional_concavity", "derivative_monotone")),
         (_lying(1.5)(qc), ("fd_agreement",)),
         (_lying(1.0 + 1e-5)(qc), ("fd_agreement",)),
-        (_Rising(qc), ("left_at_least_right", "derivative_monotone")),
+        (_Rising(qc), ("left_at_least_right", "derivative_monotone", "fd_agreement")),
     ]
     samples = 7 * 208 + 1  # a one-row tail at block size 7
 
